@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,7 @@ __all__ = [
     "ActionReport", "SingularityHit", "NonCoercive",
     "action", "action_gradient", "action_report",
     "coercivity_margin", "action_lower_bound", "apriori_radius",
-    "LagrangianTerms",
+    "LagrangianTerms", "Fields",
 ]
 
 MACHINE_GUARD = 1e-12
@@ -57,11 +58,58 @@ class NonCoercive(RuntimeError):
     """Coercivity margin is not positive; the a priori bound is unavailable."""
 
 
+class Fields(NamedTuple):
+    """Model data and its derivatives at M nodes; None where not evaluated.
+
+    G (M, dim, dim), a (M, dim), V (M,): metric, gyro covector, potential.
+    dG (dim, M, dim, dim), da (dim, M, dim), dV (M, dim): their derivatives
+    in z^d, with d the leading axis of dG and da and the last axis of dV.
+    dtG (M, dim, dim), dta (M, dim): derivatives in t.
+    f (M, l), df (M, l, dim), dtf (M, l): constraint values, gradients in
+    z and derivatives in t.
+    """
+
+    G: np.ndarray | None = None
+    a: np.ndarray | None = None
+    V: np.ndarray | None = None
+    dG: np.ndarray | None = None
+    da: np.ndarray | None = None
+    dV: np.ndarray | None = None
+    dtG: np.ndarray | None = None
+    dta: np.ndarray | None = None
+    f: np.ndarray | None = None
+    df: np.ndarray | None = None
+    dtf: np.ndarray | None = None
+
+
+# The groups of trees each kind of field evaluation computes, in the order
+# its caller has always evaluated them.  A derivative can have a narrower
+# domain than the tree it came from (d/dz sqrt(z) at z = 0), so a caller
+# evaluates no tree it does not use; where several trees leave their domain
+# at once, the first in this order names the EvalDomainError.  "dz" is dG,
+# da and dV interleaved per coordinate, the order of the action gradient.
+_KINDS = {
+    "objective": ("G", "a", "V", "dz"),
+    "lagrangian": ("G", "a", "V"),
+    "gradient": ("G", "a", "dz"),
+    "residual": ("G", "dG", "dtG", "da", "dta", "dV"),
+    "energy": ("G", "V"),
+    "metric": ("G",),
+    "gyro": ("a",),
+    "potential": ("V",),
+    "constraints": ("f",),
+    "constraint_jacobian": ("df",),
+    "constraint_rate": ("dtf",),
+}
+
+
 class LagrangianTerms:
     """Derivative trees of the model data, built once and reused.
 
     Holds g_ij, a_i, V, the constraint functions, and their first
-    derivatives in t and every coordinate, as evaluatable trees.
+    derivatives in t and every coordinate, as evaluatable trees.  All of
+    them are compiled into one expression tape (minact.expr.compile), so
+    a field evaluation computes each distinct subtree once per node array.
     """
 
     def __init__(self, model: ModelSpec):
@@ -85,75 +133,119 @@ class LagrangianTerms:
         self.df = [[ex.differentiate(c.f, d + 1) for d in range(dim)]
                    for c in model.constraints]
         self.dtf = [ex.differentiate(c.f, 0) for c in model.constraints]
+        self._kinds = self._compile()
+
+    def _compile(self) -> dict:
+        """kind -> (tape, (group, places) per root, groups it fills).
+
+        Every tree goes into one tape; each kind runs a selection of it.
+        """
+        dim, l = self.dim, len(self.f)
+        n = slice(None)  # the node axis
+        upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+        entries: list = []  # (group, tree, places its values are stored at)
+        index: dict = {}    # group -> entry indices
+
+        def add(group, tree, *places):
+            index.setdefault(group, []).append(len(entries))
+            entries.append((group, tree, places))
+
+        # symmetric matrices are read from their upper triangle
+        for i, j in upper:
+            add("G", self.g[i][j], (n, i, j), (n, j, i))
+        for i in range(dim):
+            add("a", self.a[i], (n, i))
+        add("V", self.V, (n,))
+        for d in range(dim):
+            for i, j in upper:
+                add("dG", self.dg[d][i][j], (d, n, i, j), (d, n, j, i))
+            for i in range(dim):
+                add("da", self.da[d][i], (d, n, i))
+            add("dV", self.dV[d], (n, d))
+        # added coordinate by coordinate, so in entry order the three
+        # groups interleave per coordinate, as "dz" needs
+        index["dz"] = sorted(index.get("dG", []) + index.get("da", [])
+                             + index.get("dV", []))
+        for i, j in upper:
+            add("dtG", self.dtg[i][j], (n, i, j), (n, j, i))
+        for i in range(dim):
+            add("dta", self.dta[i], (n, i))
+        for j in range(l):
+            add("f", self.f[j], (n, j))
+            add("dtf", self.dtf[j], (n, j))
+            for d in range(dim):
+                add("df", self.df[j][d], (n, j, d))
+
+        tape = ex.compile([tree for _, tree, _ in entries])
+        kinds = {}
+        for kind, groups in _KINDS.items():
+            order = [k for g in groups for k in index.get(g, [])]
+            outputs = [h for g in groups
+                       for h in (("dG", "da", "dV") if g == "dz" else (g,))]
+            kinds[kind] = (tape.select(order),
+                           [(entries[k][0], entries[k][2]) for k in order],
+                           outputs)
+        return kinds
 
     # -- field evaluation on sampled nodes --------------------------------
 
-    def metric_at(self, t, z) -> np.ndarray:
+    def fields(self, t, z, kind: str = "objective") -> Fields:
+        """Evaluate one kind of fields at node arrays in one tape run.
+
+        kind is a key of _KINDS.  The default, "objective", gives G, a, V,
+        dG, da and dV: everything the action and its gradient need.  The
+        other kinds give the subsets their callers have always evaluated.
+        """
+        tape, targets, groups = self._kinds[kind]
         M = len(t)
-        G = np.empty((M, self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                G[:, i, j] = ex.evaluate(self.g[i][j], t, z)
-                if j > i:
-                    G[:, j, i] = G[:, i, j]
-        return G
+        dim, l = self.dim, len(self.f)
+        shapes = {"G": (M, dim, dim), "a": (M, dim), "V": (M,),
+                  "dG": (dim, M, dim, dim), "da": (dim, M, dim),
+                  "dV": (M, dim), "dtG": (M, dim, dim), "dta": (M, dim),
+                  "f": (M, l), "df": (M, l, dim), "dtf": (M, l)}
+        out = {g: np.empty(shapes[g]) for g in groups}
+        for (group, places), v in zip(targets, tape.run(t, z)):
+            for p in places:
+                out[group][p] = v
+        return Fields(**out)
+
+    def metric_at(self, t, z) -> np.ndarray:
+        return self.fields(t, z, "metric").G
 
     def gyro_at(self, t, z) -> np.ndarray:
-        M = len(t)
-        a = np.empty((M, self.dim))
-        for i in range(self.dim):
-            a[:, i] = ex.evaluate(self.a[i], t, z)
-        return a
+        return self.fields(t, z, "gyro").a
 
     def potential_at(self, t, z) -> np.ndarray:
-        return ex.evaluate(self.V, t, z)
+        return self.fields(t, z, "potential").V
 
-    def lagrangian_at(self, path: SampledPath) -> np.ndarray:
-        t, z, dz = path.t, path.z, path.dz
-        G = self.metric_at(t, z)
-        a = self.gyro_at(t, z)
-        V = self.potential_at(t, z)
-        kinetic = 0.5 * np.einsum("mij,mi,mj->m", G, dz, dz)
-        return kinetic + np.einsum("mi,mi->m", a, dz) - V
+    def lagrangian_at(self, path: SampledPath, fields: Fields) -> np.ndarray:
+        """L at the nodes, from fields holding G, a and V."""
+        G, a, V = fields.G, fields.a, fields.V
+        kinetic = 0.5 * np.einsum("mij,mi,mj->m", G, path.dz, path.dz)
+        return kinetic + np.einsum("mi,mi->m", a, path.dz) - V
 
-    def dL_fields(self, path: SampledPath):
-        """(dL/dz^d, dL/ddz^d) at the nodes, each of shape (M, dim)."""
-        t, z, dz = path.t, path.z, path.dz
-        M = len(t)
-        dim = self.dim
-        G = self.metric_at(t, z)
-        a = self.gyro_at(t, z)
-        dLdv = np.einsum("mij,mj->mi", G, dz) + a
-        dLdz = np.empty((M, dim))
-        for d in range(dim):
-            dGd = np.empty((M, dim, dim))
-            for i in range(dim):
-                for j in range(i, dim):
-                    dGd[:, i, j] = ex.evaluate(self.dg[d][i][j], t, z)
-                    if j > i:
-                        dGd[:, j, i] = dGd[:, i, j]
-            dad = np.empty((M, dim))
-            for i in range(dim):
-                dad[:, i] = ex.evaluate(self.da[d][i], t, z)
-            dVd = ex.evaluate(self.dV[d], t, z)
-            dLdz[:, d] = (0.5 * np.einsum("mij,mi,mj->m", dGd, dz, dz)
-                          + np.einsum("mi,mi->m", dad, dz) - dVd)
+    def dL_fields(self, path: SampledPath, fields: Fields):
+        """(dL/dz^d, dL/ddz^d) at the nodes, each of shape (M, dim).
+
+        fields must hold G, a, dG, da and dV.
+        """
+        dz = path.dz
+        dLdv = np.einsum("mij,mj->mi", fields.G, dz) + fields.a
+        dLdz = np.empty((len(path.t), self.dim))
+        for d in range(self.dim):
+            dLdz[:, d] = (0.5 * np.einsum("mij,mi,mj->m", fields.dG[d], dz,
+                                          dz)
+                          + np.einsum("mi,mi->m", fields.da[d], dz)
+                          - fields.dV[:, d])
         return dLdz, dLdv
 
     def constraints_at(self, t, z) -> np.ndarray:
         """Constraint values, shape (M, l)."""
-        F = np.empty((len(t), len(self.f)))
-        for j, fj in enumerate(self.f):
-            F[:, j] = ex.evaluate(fj, t, z)
-        return F
+        return self.fields(t, z, "constraints").f
 
     def constraint_jacobian_at(self, t, z) -> np.ndarray:
         """d f_j / d z^d at the nodes, shape (M, l, dim)."""
-        J = np.empty((len(t), len(self.f), self.dim))
-        for j in range(len(self.f)):
-            for d in range(self.dim):
-                J[:, j, d] = ex.evaluate(self.df[j][d], t, z)
-        return J
+        return self.fields(t, z, "constraint_jacobian").df
 
 
 def _guard_nodes(model: ModelSpec, path: SampledPath) -> None:
@@ -167,6 +259,32 @@ def _guard_nodes(model: ModelSpec, path: SampledPath) -> None:
             f"of the singular set (distance {d[i]:.3e})")
 
 
+def _guarded_path(model: ModelSpec, traj: FourierTrajectory, M: int,
+                  terms: LagrangianTerms | None):
+    terms = terms or LagrangianTerms(model)
+    path = sample(traj, M)
+    _guard_nodes(model, path)
+    return terms, path
+
+
+def _action_value(model: ModelSpec, terms: LagrangianTerms,
+                  path: SampledPath, fields: Fields) -> float:
+    L = terms.lagrangian_at(path, fields)
+    return float(model.omega / len(path.t) * np.sum(L))
+
+
+def _action_gradient(model: ModelSpec, traj: FourierTrajectory,
+                     terms: LagrangianTerms, path: SampledPath,
+                     fields: Fields) -> np.ndarray:
+    dLdz, dLdv = terms.dL_fields(path, fields)
+    w = traj.frequencies()
+    phases = np.outer(path.t, w)
+    S = np.sin(phases)
+    Cw = np.cos(phases) * w[None, :]
+    grad = S.T @ dLdz + Cw.T @ dLdv
+    return model.omega / len(path.t) * grad
+
+
 def action(model: ModelSpec, traj: FourierTrajectory, M: int,
            terms: LagrangianTerms | None = None) -> float:
     """Discrete action S = (omega/M) * sum_i L(t_i, z_i, dz_i).
@@ -175,26 +293,17 @@ def action(model: ModelSpec, traj: FourierTrajectory, M: int,
     SingularityHit if a node touches the singular set and EvalDomainError
     if an expression leaves its domain.
     """
-    terms = terms or LagrangianTerms(model)
-    path = sample(traj, M)
-    _guard_nodes(model, path)
-    L = terms.lagrangian_at(path)
-    return float(model.omega / M * np.sum(L))
+    terms, path = _guarded_path(model, traj, M, terms)
+    fields = terms.fields(path.t, path.z, "lagrangian")
+    return _action_value(model, terms, path, fields)
 
 
 def action_gradient(model: ModelSpec, traj: FourierTrajectory, M: int,
                     terms: LagrangianTerms | None = None) -> np.ndarray:
     """Exact gradient of the discrete action; shape matches traj.coeffs."""
-    terms = terms or LagrangianTerms(model)
-    path = sample(traj, M)
-    _guard_nodes(model, path)
-    dLdz, dLdv = terms.dL_fields(path)
-    w = traj.frequencies()
-    phases = np.outer(path.t, w)
-    S = np.sin(phases)
-    Cw = np.cos(phases) * w[None, :]
-    grad = S.T @ dLdz + Cw.T @ dLdv
-    return model.omega / M * grad
+    terms, path = _guarded_path(model, traj, M, terms)
+    fields = terms.fields(path.t, path.z, "gradient")
+    return _action_gradient(model, traj, terms, path, fields)
 
 
 def coercivity_margin(k: GrowthConstants, omega: float) -> float:
@@ -255,9 +364,10 @@ class ActionReport:
 def action_report(model: ModelSpec, traj: FourierTrajectory, M: int,
                   terms: LagrangianTerms | None = None) -> ActionReport:
     """Action, gradient norm, H1 norm, clearance, and coercivity numbers."""
-    terms = terms or LagrangianTerms(model)
-    S = action(model, traj, M, terms)
-    g = action_gradient(model, traj, M, terms)
+    terms, path = _guarded_path(model, traj, M, terms)
+    fields = terms.fields(path.t, path.z)
+    S = _action_value(model, terms, path, fields)
+    g = _action_gradient(model, traj, terms, path, fields)
     h1 = h1_seminorm(traj)
     dist = min_distance_to(traj, singular_set(model))
     k = model.constants

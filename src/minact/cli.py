@@ -121,7 +121,6 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
                    help="largest acceptable el_sup for exit 0")
     p.add_argument("--history-file", default=None,
                    help="also stream the iteration log as JSON lines")
-    p.add_argument("--rng-seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,11 +15,16 @@ differentiable, and those functions are not.
 Evaluation refuses to return non-finite numbers silently: division by zero,
 log or sqrt of a nonpositive argument, and overflow raise EvalDomainError
 carrying the offending subtree.
+
+evaluate walks one tree.  compile hash-conses many trees into one Tape that
+computes every distinct subtree once per node array, with the same kernels
+and domain checks.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +32,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Unary", "Binary", "Power",
     "ExprError", "ParseError", "EvalDomainError",
-    "parse", "evaluate", "differentiate", "to_text",
+    "Tape", "parse", "evaluate", "compile", "differentiate", "to_text",
     "const", "var", "t_var", "add", "sub", "mul", "div", "neg", "power",
     "sin", "cos", "exp", "log", "sqrt",
     "max_var_index", "references_time",
@@ -449,6 +454,10 @@ def evaluate(e: Expr, t, z):
     out = _ev(e, t, z)
     if t.ndim == 0:
         return float(np.asarray(out))
+    return _nodes_result(out, t)
+
+
+def _nodes_result(out, t) -> np.ndarray:
     if np.ndim(out) == 0:
         return np.full(t.shape, float(out))
     return np.asarray(out, dtype=float)
@@ -462,55 +471,218 @@ def _ev(e: Expr, t, z):
             return t
         return z[..., e.index - 1]
     if isinstance(e, Unary):
-        a = _ev(e.arg, t, z)
-        if e.op == "neg":
-            return -a
-        if e.op == "sin":
-            return np.sin(a)
-        if e.op == "cos":
-            return np.cos(a)
-        if e.op == "exp":
-            with np.errstate(over="ignore"):
-                v = np.exp(a)
-            if not np.all(np.isfinite(v)):
-                raise EvalDomainError("exp overflow", e)
-            return v
-        if e.op == "log":
-            if np.any(np.asarray(a) <= 0.0):
-                raise EvalDomainError("log of nonpositive value", e)
-            return np.log(a)
-        if e.op == "sqrt":
-            if np.any(np.asarray(a) < 0.0):
-                raise EvalDomainError("sqrt of negative value", e)
-            return np.sqrt(a)
-        raise EvalDomainError(f"unknown unary op {e.op}", e)
+        return _UNARY.get(e.op, _unknown_op)(e, _ev(e.arg, t, z))
     if isinstance(e, Binary):
-        a = _ev(e.lhs, t, z)
-        b = _ev(e.rhs, t, z)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise EvalDomainError("division by zero", e)
-            return a / b
-        raise EvalDomainError(f"unknown binary op {e.op}", e)
+        return _BINARY.get(e.op, _unknown_op)(e, _ev(e.lhs, t, z),
+                                              _ev(e.rhs, t, z))
     if isinstance(e, Power):
-        a = np.asarray(_ev(e.base, t, z))
-        c = e.exponent
-        if c != round(c) and np.any(a < 0.0):
-            raise EvalDomainError("negative base under fractional power", e)
-        if c < 0 and np.any(a == 0.0):
-            raise EvalDomainError("zero base under negative power", e)
-        with np.errstate(over="ignore", divide="ignore"):
-            v = a ** c
-        if not np.all(np.isfinite(v)):
-            raise EvalDomainError("power overflow", e)
-        return v
+        return _power(e, _ev(e.base, t, z))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# Evaluation kernels: the value of node e from the values of its children.
+# Both the tree walk (_ev) and compiled tapes (Tape) call these, so the two
+# compute every node with the same operations and the same domain checks.
+
+
+def _exp(e, a):
+    with np.errstate(over="ignore"):
+        v = np.exp(a)
+    if not np.all(np.isfinite(v)):
+        raise EvalDomainError("exp overflow", e)
+    return v
+
+
+def _log(e, a):
+    if np.any(np.asarray(a) <= 0.0):
+        raise EvalDomainError("log of nonpositive value", e)
+    return np.log(a)
+
+
+def _sqrt(e, a):
+    if np.any(np.asarray(a) < 0.0):
+        raise EvalDomainError("sqrt of negative value", e)
+    return np.sqrt(a)
+
+
+def _divide(e, a, b):
+    if np.any(np.asarray(b) == 0.0):
+        raise EvalDomainError("division by zero", e)
+    return a / b
+
+
+def _power(e, a):
+    a = np.asarray(a)
+    c = e.exponent
+    if c != round(c) and np.any(a < 0.0):
+        raise EvalDomainError("negative base under fractional power", e)
+    if c < 0 and np.any(a == 0.0):
+        raise EvalDomainError("zero base under negative power", e)
+    with np.errstate(over="ignore", divide="ignore"):
+        v = a ** c
+    if not np.all(np.isfinite(v)):
+        raise EvalDomainError("power overflow", e)
+    return v
+
+
+def _unknown_op(e, *args):
+    kind = "unary" if isinstance(e, Unary) else "binary"
+    raise EvalDomainError(f"unknown {kind} op {e.op}", e)
+
+
+_UNARY = {
+    "neg": lambda e, a: -a,
+    "sin": lambda e, a: np.sin(a),
+    "cos": lambda e, a: np.cos(a),
+    "exp": _exp,
+    "log": _log,
+    "sqrt": _sqrt,
+}
+
+_BINARY = {
+    "+": lambda e, a, b: a + b,
+    "-": lambda e, a, b: a - b,
+    "*": lambda e, a, b: a * b,
+    "/": _divide,
+}
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation
+# ---------------------------------------------------------------------------
+
+
+def _bits(value: float) -> bytes:
+    # Const(0.0) == Const(-0.0), but the two give different results
+    # (1/-0.0 < 0), so nodes are keyed by the bits of their numbers
+    return struct.pack("<d", value)
+
+
+class Tape:
+    """Trees hash-consed into one DAG, run as a topologically ordered list.
+
+    Build with compile(roots).  Every distinct subtree is one slot; run
+    computes each slot once per node array, children before parents, with
+    the kernels of evaluate, so every root comes out bit-identical to
+    evaluate(root, t, z) and a domain error names the same subtree with
+    the same message.  The instructions run in the order in which a
+    tree-by-tree evaluation of the roots first reaches each subtree, so
+    where several subtrees leave their domain, the one evaluate would
+    report first is the one raised.
+    """
+
+    def __init__(self, nodes, args, roots):
+        self._nodes = nodes    # slot -> node
+        self._args = args      # slot -> child slots
+        self.roots = tuple(roots)  # slots of the roots, in order
+        self._program = []
+        seen = set()
+        for slot in self.roots:
+            self._schedule(slot, seen)
+        self._size = len(seen)
+        # leaves reached: constants are filled in once, variables per run
+        self._leaves = [None] * len(nodes)
+        self._vars = []
+        for slot in sorted(seen):
+            e = nodes[slot]
+            if isinstance(e, Const):
+                self._leaves[slot] = e.value
+            elif isinstance(e, Var):
+                self._vars.append((slot, e.index))
+
+    def _schedule(self, slot, seen) -> None:
+        # post-order over the DAG: the first-visit order of a tree walk
+        if slot in seen:
+            return
+        seen.add(slot)
+        args = self._args[slot]
+        for a in args:
+            self._schedule(a, seen)
+        e = self._nodes[slot]
+        if isinstance(e, Unary):
+            self._program.append((slot, _UNARY.get(e.op, _unknown_op), e,
+                                  args[0], -1))
+        elif isinstance(e, Binary):
+            self._program.append((slot, _BINARY.get(e.op, _unknown_op), e,
+                                  args[0], args[1]))
+        elif isinstance(e, Power):
+            self._program.append((slot, _power, e, args[0], -1))
+
+    def __len__(self) -> int:
+        """Number of distinct subtrees, leaves included, the roots reach."""
+        return self._size
+
+    def select(self, roots) -> "Tape":
+        """Tape over a subsequence of the roots (indices into self.roots).
+
+        Only the subtrees those roots reach are computed, in the order a
+        tree walk of them in the given order first reaches each.
+        """
+        return Tape(self._nodes, self._args,
+                    [self.roots[k] for k in roots])
+
+    def run(self, t, z) -> list:
+        """Values of the roots at node arrays t (M,) and z (M, dim).
+
+        Returns one array of shape (M,) per root, equal bit for bit to
+        evaluate(root, t, z); raises EvalDomainError as evaluate would.
+        """
+        t = np.asarray(t, dtype=float)
+        z = np.asarray(z, dtype=float)
+        vals = self._leaves.copy()
+        for slot, index in self._vars:
+            vals[slot] = t if index == 0 else z[..., index - 1]
+        for slot, kernel, e, a, b in self._program:
+            if b < 0:
+                vals[slot] = kernel(e, vals[a])
+            else:
+                vals[slot] = kernel(e, vals[a], vals[b])
+        return [_nodes_result(vals[slot], t) for slot in self.roots]
+
+
+def compile(roots) -> Tape:
+    """Hash-cons the trees in roots into one Tape.
+
+    Structurally equal subtrees -- same node type, operator and bitwise
+    equal numbers over equal children -- share one slot, within a tree and
+    across trees.
+    """
+    table = ([], [], {}, {})
+    return Tape(table[0], table[1], [_intern(e, table) for e in roots])
+
+
+def _intern(e: Expr, table) -> int:
+    """Slot of e in table, adding e and its subtrees where they are new.
+
+    table is (nodes, child slots, structural key -> slot, id(node) ->
+    slot); the roots keep every node alive, so ids stay unique.
+    """
+    nodes, args, slots, seen = table
+    slot = seen.get(id(e))
+    if slot is not None:
+        return slot
+    if isinstance(e, Const):
+        children, key = (), ("c", _bits(e.value))
+    elif isinstance(e, Var):
+        children, key = (), ("v", e.index)
+    elif isinstance(e, Unary):
+        children = (_intern(e.arg, table),)
+        key = ("u", e.op, children)
+    elif isinstance(e, Binary):
+        children = (_intern(e.lhs, table), _intern(e.rhs, table))
+        key = ("b", e.op, children)
+    elif isinstance(e, Power):
+        children = (_intern(e.base, table),)
+        key = ("p", _bits(e.exponent), children)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    slot = slots.get(key)
+    if slot is None:
+        slot = slots[key] = len(nodes)
+        nodes.append(e)
+        args.append(children)
+    seen[id(e)] = slot
+    return slot
 
 
 # ---------------------------------------------------------------------------

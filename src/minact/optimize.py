@@ -166,9 +166,10 @@ class _Objective:
 
     def value_and_grad(self, b_flat: np.ndarray, mu: float):
         path = self._path(b_flat)
-        L = self.terms.lagrangian_at(path)
+        fields = self.terms.fields(path.t, path.z)
+        L = self.terms.lagrangian_at(path, fields)
         S = self.weight * float(np.sum(L))
-        dLdz, dLdv = self.terms.dL_fields(path)
+        dLdz, dLdv = self.terms.dL_fields(path, fields)
         if mu > 0.0 and self.terms.f:
             F = self.terms.constraints_at(path.t, path.z)     # (M, l)
             J = self.terms.constraint_jacobian_at(path.t, path.z)  # (M,l,dim)

@@ -390,42 +390,19 @@ class ResidualReport:
 
 def _el_residual_values(terms: LagrangianTerms, path) -> np.ndarray:
     """R_k(t_i) = d/dt (dL/dv^k) - dL/dz^k, exactly, at the nodes."""
-    t, z, dz, ddz = path.t, path.z, path.dz, path.ddz
-    M = len(t)
-    dim = terms.dim
-    G = terms.metric_at(t, z)
-    R = np.einsum("mkj,mj->mk", G, ddz)
-    dG = np.empty((dim, M, dim, dim))
-    for d in range(dim):
-        for i in range(dim):
-            for j in range(i, dim):
-                v = ex.evaluate(terms.dg[d][i][j], t, z)
-                dG[d, :, i, j] = v
-                if i != j:
-                    dG[d, :, j, i] = v
+    dz, ddz = path.dz, path.ddz
+    fl = terms.fields(path.t, path.z, "residual")
+    R = np.einsum("mkj,mj->mk", fl.G, ddz)
     # + d_l g_kj v^l v^j + d_t g_kj v^j
-    R += np.einsum("lmkj,ml,mj->mk", dG, dz, dz)
-    dtG = np.empty((M, dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            v = ex.evaluate(terms.dtg[i][j], t, z)
-            dtG[:, i, j] = v
-            if i != j:
-                dtG[:, j, i] = v
-    R += np.einsum("mkj,mj->mk", dtG, dz)
-    dA = np.empty((dim, M, dim))
-    for d in range(dim):
-        for i in range(dim):
-            dA[d, :, i] = ex.evaluate(terms.da[d][i], t, z)
+    R += np.einsum("lmkj,ml,mj->mk", fl.dG, dz, dz)
+    R += np.einsum("mkj,mj->mk", fl.dtG, dz)
     # + d_l a_k v^l   and  - d_k a_i v^i
-    R += np.einsum("lmk,ml->mk", dA, dz)
-    R -= np.einsum("kmi,mi->mk", dA, dz)
-    for i in range(dim):
-        R[:, i] += ex.evaluate(terms.dta[i], t, z)
+    R += np.einsum("lmk,ml->mk", fl.da, dz)
+    R -= np.einsum("kmi,mi->mk", fl.da, dz)
+    R += fl.dta
     # - (1/2) d_k g_ij v^i v^j  and  + d_k V
-    R -= 0.5 * np.einsum("kmij,mi,mj->mk", dG, dz, dz)
-    for d in range(dim):
-        R[:, d] += ex.evaluate(terms.dV[d], t, z)
+    R -= 0.5 * np.einsum("kmij,mi,mj->mk", fl.dG, dz, dz)
+    R += fl.dV
     return R
 
 
@@ -496,8 +473,7 @@ def el_residual(model: ModelSpec, traj: FourierTrajectory, M: int,
         constraint_sup = float(np.max(np.abs(F)))
         multipliers, R, gram_warning = recover_multipliers(J, R)
         rate = np.einsum("mld,md->ml", J, path.dz)
-        for j in range(len(model.constraints)):
-            rate[:, j] += ex.evaluate(terms.dtf[j], path.t, path.z)
+        rate += terms.fields(path.t, path.z, "constraint_rate").dtf
         rate_sup = float(np.max(np.abs(rate)))
 
     node_norms = np.linalg.norm(R, axis=1)
@@ -518,9 +494,8 @@ def el_residual(model: ModelSpec, traj: FourierTrajectory, M: int,
 
 
 def _jacobi_drift(terms: LagrangianTerms, path) -> float:
-    G = terms.metric_at(path.t, path.z)
-    V = terms.potential_at(path.t, path.z)
-    h = 0.5 * np.einsum("mi,mij,mj->m", path.dz, G, path.dz) + V
+    fl = terms.fields(path.t, path.z, "energy")
+    h = 0.5 * np.einsum("mi,mij,mj->m", path.dz, fl.G, path.dz) + fl.V
     return float(np.max(np.abs(h - h[0])))
 
 

@@ -1,5 +1,6 @@
 """Discrete action, exact gradient, and the coercivity arithmetic."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ from minact.action import (
     LagrangianTerms, NonCoercive, SingularityHit, action, action_gradient,
     action_lower_bound, action_report, apriori_radius, coercivity_margin,
 )
-from minact.model import GrowthConstants, ModelSpec, builtin
-from minact.trajectory import FourierTrajectory, h1_seminorm
-from conftest import (coercive_oscillator_model, free_drift_model,
+from minact.model import BUILTIN_NAMES, GrowthConstants, ModelSpec, builtin
+from minact.trajectory import FourierTrajectory, SampledPath, h1_seminorm
+from conftest import (coercive_oscillator_model, constrained_planar_model,
+                      free_drift_model,
                       harmonic_model, random_trajectory)
 
 TWO_PI = 2.0 * math.pi
@@ -203,6 +205,10 @@ def test_action_report_fields():
     model = coercive_oscillator_model()
     traj = FourierTrajectory(model.omega, (), [[0.2], [0.0], [0.0], [0.0]])
     r = action_report(model, traj, 32)
+    # one sampling and one field evaluation give what the two calls give
+    assert r.S == action(model, traj, 32)
+    assert r.grad_norm == float(np.linalg.norm(
+        action_gradient(model, traj, 32)))
     assert r.margin == coercivity_margin(model.constants, model.omega)
     assert abs(r.h1 - h1_seminorm(traj)) < 1e-15
     assert r.min_distance == math.inf
@@ -210,3 +216,138 @@ def test_action_report_fields():
     d = r.to_dict()
     assert set(d) == {"S", "grad_norm", "h1", "min_distance", "margin",
                       "lower_bound_at_h1"}
+
+
+# ---------------------------------------------------------------------------
+# compiled field evaluation
+
+
+def _model(name):
+    # constrained_planar_model is the model of demos/constrained_oscillator.py
+    return constrained_planar_model() if name == "constrained" \
+        else builtin(name)
+
+
+def _nodes(model, rng, M=64):
+    t = rng.uniform(-model.omega, model.omega, size=M)
+    z = 2.0 * rng.normal(size=(M, model.dim))
+    dz = rng.normal(size=(M, model.dim))
+    return t, z, dz
+
+
+def _held_trees(terms):
+    """Every tree a LagrangianTerms holds, lower triangles included."""
+    return ([e for row in terms.g for e in row] + list(terms.a) + [terms.V]
+            + [e for mat in terms.dg for row in mat for e in row]
+            + [e for row in terms.dtg for e in row]
+            + [e for row in terms.da for e in row] + list(terms.dta)
+            + list(terms.dV) + list(terms.f)
+            + [e for row in terms.df for e in row] + list(terms.dtf))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("constrained",))
+def test_tape_matches_evaluate_on_every_model_tree(name, rng):
+    """One tape over all of a model's trees reproduces evaluate exactly."""
+    model = _model(name)
+    trees = _held_trees(LagrangianTerms(model))
+    t, z, _ = _nodes(model, rng)
+    for e, got in zip(trees, ex.compile(trees).run(t, z)):
+        assert np.array_equal(got, ex.evaluate(e, t, z)), ex.to_text(e)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("constrained",))
+def test_fields_match_per_entry_evaluation(name, rng):
+    """fields() and the L, dL assembly equal the entry-by-entry reference."""
+    model = _model(name)
+    terms = LagrangianTerms(model)
+    t, z, dz = _nodes(model, rng)
+    M, dim = len(t), model.dim
+
+    def ev(e):
+        return ex.evaluate(e, t, z)
+
+    def sym(trees):
+        out = np.empty((M, dim, dim))
+        for i in range(dim):
+            for j in range(i, dim):
+                out[:, i, j] = out[:, j, i] = ev(trees[i][j])
+        return out
+
+    def cols(trees):
+        return np.stack([ev(e) for e in trees], axis=-1)
+
+    G, a, V = sym(terms.g), cols(terms.a), ev(terms.V)
+    dG = [sym(terms.dg[d]) for d in range(dim)]
+    da = [cols(terms.da[d]) for d in range(dim)]
+    fl = terms.fields(t, z)
+    assert np.array_equal(fl.G, G) and np.array_equal(fl.a, a)
+    assert np.array_equal(fl.V, V)
+    assert np.array_equal(fl.dG, np.stack(dG))
+    assert np.array_equal(fl.da, np.stack(da))
+    assert np.array_equal(fl.dV, cols(terms.dV))
+    res = terms.fields(t, z, "residual")
+    assert np.array_equal(res.dtG, sym(terms.dtg))
+    assert np.array_equal(res.dta, cols(terms.dta))
+    assert res.a is None and res.V is None  # never evaluated there
+    if terms.f:
+        assert np.array_equal(terms.constraints_at(t, z), cols(terms.f))
+        assert np.array_equal(
+            terms.constraint_jacobian_at(t, z),
+            np.stack([cols(row) for row in terms.df], axis=1))
+        assert np.array_equal(terms.fields(t, z, "constraint_rate").dtf,
+                              cols(terms.dtf))
+
+    path = SampledPath(t=t, z=z, dz=dz, ddz=None)
+    L = (0.5 * np.einsum("mij,mi,mj->m", G, dz, dz)
+         + np.einsum("mi,mi->m", a, dz) - V)
+    assert np.array_equal(terms.lagrangian_at(path, fl), L)
+    dLdz, dLdv = terms.dL_fields(path, fl)
+    assert np.array_equal(dLdv, np.einsum("mij,mj->mi", G, dz) + a)
+    for d in range(dim):
+        want = (0.5 * np.einsum("mij,mi,mj->m", dG[d], dz, dz)
+                + np.einsum("mi,mi->m", da[d], dz) - ev(terms.dV[d]))
+        assert np.array_equal(dLdz[:, d], want)
+
+
+def test_surface_slide_tape_computes_each_distinct_subtree_once():
+    """The objective tape has one slot per distinct subtree: 108 of them."""
+    terms = LagrangianTerms(builtin("surface_slide"))
+    distinct = set()
+
+    def key(e):
+        # structural identity, with numbers compared by their bits
+        parts = [type(e).__name__]
+        for f in dataclasses.fields(e):
+            v = getattr(e, f.name)
+            if isinstance(v, ex.Expr):
+                v = key(v)
+            elif isinstance(v, float):
+                v = v.hex()
+            parts.append(v)
+        distinct.add(tuple(parts))
+        return tuple(parts)
+
+    dim = terms.dim
+    for e in ([terms.g[i][j] for i in range(dim) for j in range(i, dim)]
+              + list(terms.a) + [terms.V]
+              + [terms.dg[d][i][j] for d in range(dim)
+                 for i in range(dim) for j in range(i, dim)]
+              + [e for row in terms.da for e in row] + list(terms.dV)):
+        key(e)
+    assert len(terms._kinds["objective"][0]) == len(distinct) == 108
+
+
+def test_action_evaluates_no_derivative_tree():
+    """V = (z1^2)^0.75 is defined at z1 = 0 but its derivative is not.
+
+    Every odd loop passes z = 0 at the node t = 0, so the action must come
+    from the value trees alone, while the gradient fails there.
+    """
+    model = ModelSpec(
+        m=1, n=0, omega=TWO_PI, nu=(), metric=[[ex.const(1.0)]],
+        gyro=[ex.const(0.0)], potential=ex.parse("(z1^2)^0.75", 1),
+        constants=k_only(0.5))
+    traj = FourierTrajectory(TWO_PI, (), [[0.5]])
+    assert math.isfinite(action(model, traj, 32))
+    with pytest.raises(ex.EvalDomainError):
+        action_gradient(model, traj, 32)

@@ -99,6 +99,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     # mutually exclusive seed specifications
     assert run_cli(["solve", "--builtin", "two_centers", "--coils", 1,
                     "--seed-file", "s.json", "--out", tmp_path]) == 1
+    # solve is deterministic: only check takes a sampler seed
+    assert run_cli(["solve", "--builtin", "two_centers", "--rng-seed", 3,
+                    "--out", tmp_path]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -204,3 +204,65 @@ def test_constant_negative_base_fractional_power_is_domain_error():
 def test_to_text_negative_exponent_parses_back():
     e = ex.power(ex.var(1), -2.0)
     assert ex.parse(ex.to_text(e), 1) == e
+
+
+# ---------------------------------------------------------------------------
+# compiled tapes
+
+
+def test_tape_matches_evaluate_on_random_trees():
+    """One tape over many trees gives every root bit for bit."""
+    rng = np.random.default_rng(11)
+    roots = [_random_expr(rng, 4) for _ in range(40)]
+    roots += [ex.differentiate(e, 1) for e in roots]
+    t = rng.normal(size=50)
+    z = rng.normal(size=(50, 2))
+    tape = ex.compile(roots)
+    for e, got in zip(roots, tape.run(t, z)):
+        assert np.array_equal(got, ex.evaluate(e, t, z)), ex.to_text(e)
+    # shared subtrees are computed once
+    assert len(tape) < sum(len(ex.compile([e])) for e in roots)
+
+
+def test_tape_domain_error_matches_evaluate():
+    """A failing instruction raises what evaluate raises on its tree."""
+    t = np.zeros(3)
+    z = np.array([[1.0, 1.0], [0.0, 2.0], [-1.0, 3.0]])
+    e = ex.parse("z2 + log(z1)*sqrt(z2)", 2)
+    with pytest.raises(ex.EvalDomainError) as want:
+        ex.evaluate(e, t, z)
+    with pytest.raises(ex.EvalDomainError) as got:
+        ex.compile([ex.parse("z2^2", 2), e]).run(t, z)
+    assert got.value.node == want.value.node == ex.parse("log(z1)", 2)
+    assert str(got.value) == str(want.value)
+
+
+def test_tape_reports_the_first_failure_in_root_order():
+    """With two failing roots, the one a tree walk reaches first is named."""
+    root_sqrt, root_log = ex.parse("sqrt(z2)", 2), ex.parse("log(z1)", 2)
+    tape = ex.compile([root_sqrt, root_log])
+    t, z = np.zeros(1), np.array([[-1.0, -1.0]])
+    with pytest.raises(ex.EvalDomainError) as first:
+        tape.run(t, z)
+    assert first.value.node == root_sqrt
+    with pytest.raises(ex.EvalDomainError) as swapped:
+        tape.select([1, 0]).run(t, z)
+    assert swapped.value.node == root_log
+    # a selection computes only what its roots reach
+    (value,) = tape.select([1]).run(t, np.array([[1.0, -1.0]]))
+    assert value.tolist() == [0.0]
+
+
+def test_tape_keeps_signed_zeros_apart():
+    """Const(0.0) == Const(-0.0), but the two must not share a slot."""
+    pos = ex.Binary("*", ex.Const(0.0), ex.Var(1))
+    neg = ex.Binary("*", ex.Const(-0.0), ex.Var(1))
+    assert pos == neg
+    tape = ex.compile([pos, neg])
+    assert len(tape) == 5  # z1, 0.0, -0.0 and both products
+    z = np.array([[1.0], [2.0]])
+    got_pos, got_neg = tape.run(np.zeros(2), z)
+    assert not np.any(np.signbit(got_pos))
+    assert np.all(np.signbit(got_neg))
+    assert np.array_equal(np.signbit(got_neg),
+                          np.signbit(ex.evaluate(neg, np.zeros(2), z)))

@@ -37,8 +37,8 @@ import numpy as np
 from . import expr as ex
 from .model import GrowthConstants, ModelSpec, nearest_distances, \
     singular_set
-from .trajectory import FourierTrajectory, SampledPath, h1_seminorm, \
-    min_distance_to, sample
+from .trajectory import FourierTrajectory, SampledPath, SineGrid, \
+    h1_seminorm, min_distance_to
 
 __all__ = [
     "ActionReport", "SingularityHit", "NonCoercive",
@@ -248,41 +248,20 @@ class LagrangianTerms:
         return self.fields(t, z, "constraint_jacobian").df
 
 
-def _guard_nodes(model: ModelSpec, path: SampledPath) -> None:
-    if not model.sigma_base:
-        return
-    d = nearest_distances(singular_set(model), path.z)
-    if np.any(d <= MACHINE_GUARD):
-        i = int(np.argmin(d))
-        raise SingularityHit(
-            f"quadrature node t = {path.t[i]} lies within {MACHINE_GUARD} "
-            f"of the singular set (distance {d[i]:.3e})")
-
-
-def _guarded_path(model: ModelSpec, traj: FourierTrajectory, M: int,
-                  terms: LagrangianTerms | None):
+def _nodes(model: ModelSpec, traj: FourierTrajectory, M: int,
+           terms: LagrangianTerms | None, kind: str):
+    """Guarded path, basis and one kind of fields at the M uniform nodes."""
     terms = terms or LagrangianTerms(model)
-    path = sample(traj, M)
-    _guard_nodes(model, path)
-    return terms, path
-
-
-def _action_value(model: ModelSpec, terms: LagrangianTerms,
-                  path: SampledPath, fields: Fields) -> float:
-    L = terms.lagrangian_at(path, fields)
-    return float(model.omega / len(path.t) * np.sum(L))
-
-
-def _action_gradient(model: ModelSpec, traj: FourierTrajectory,
-                     terms: LagrangianTerms, path: SampledPath,
-                     fields: Fields) -> np.ndarray:
-    dLdz, dLdv = terms.dL_fields(path, fields)
-    w = traj.frequencies()
-    phases = np.outer(path.t, w)
-    S = np.sin(phases)
-    Cw = np.cos(phases) * w[None, :]
-    grad = S.T @ dLdz + Cw.T @ dLdv
-    return model.omega / len(path.t) * grad
+    grid = SineGrid.uniform(traj, M)
+    path = grid.path(traj.coeffs)
+    if model.sigma_base:
+        d = nearest_distances(singular_set(model), path.z)
+        if np.any(d <= MACHINE_GUARD):
+            i = int(np.argmin(d))
+            raise SingularityHit(
+                f"quadrature node t = {path.t[i]} lies within "
+                f"{MACHINE_GUARD} of the singular set (distance {d[i]:.3e})")
+    return terms, grid, path, terms.fields(path.t, path.z, kind)
 
 
 def action(model: ModelSpec, traj: FourierTrajectory, M: int,
@@ -293,17 +272,15 @@ def action(model: ModelSpec, traj: FourierTrajectory, M: int,
     SingularityHit if a node touches the singular set and EvalDomainError
     if an expression leaves its domain.
     """
-    terms, path = _guarded_path(model, traj, M, terms)
-    fields = terms.fields(path.t, path.z, "lagrangian")
-    return _action_value(model, terms, path, fields)
+    terms, _, path, fields = _nodes(model, traj, M, terms, "lagrangian")
+    return model.omega / M * float(np.sum(terms.lagrangian_at(path, fields)))
 
 
 def action_gradient(model: ModelSpec, traj: FourierTrajectory, M: int,
                     terms: LagrangianTerms | None = None) -> np.ndarray:
     """Exact gradient of the discrete action; shape matches traj.coeffs."""
-    terms, path = _guarded_path(model, traj, M, terms)
-    fields = terms.fields(path.t, path.z, "gradient")
-    return _action_gradient(model, traj, terms, path, fields)
+    terms, grid, path, fields = _nodes(model, traj, M, terms, "gradient")
+    return model.omega / M * grid.gradient(*terms.dL_fields(path, fields))
 
 
 def coercivity_margin(k: GrowthConstants, omega: float) -> float:
@@ -364,10 +341,9 @@ class ActionReport:
 def action_report(model: ModelSpec, traj: FourierTrajectory, M: int,
                   terms: LagrangianTerms | None = None) -> ActionReport:
     """Action, gradient norm, H1 norm, clearance, and coercivity numbers."""
-    terms, path = _guarded_path(model, traj, M, terms)
-    fields = terms.fields(path.t, path.z)
-    S = _action_value(model, terms, path, fields)
-    g = _action_gradient(model, traj, terms, path, fields)
+    terms, grid, path, fields = _nodes(model, traj, M, terms, "objective")
+    S = model.omega / M * float(np.sum(terms.lagrangian_at(path, fields)))
+    g = model.omega / M * grid.gradient(*terms.dL_fields(path, fields))
     h1 = h1_seminorm(traj)
     dist = min_distance_to(traj, singular_set(model))
     k = model.constants

@@ -246,36 +246,48 @@ def enumerate_planar(s: SingularSet):
     return out
 
 
+def _nearest(s: SingularSet, points: np.ndarray, witness: bool):
+    """Distances from points (M, dim) to the full singular set.
+
+    Returns (distances, witnesses); witnesses (M, dim) holds the attaining
+    singular point of each row, including its 2*pi lattice shift, and is
+    None unless asked for.  The lattice minimization is exact: the squared
+    distance separates per angle coordinate, so the optimal shift is
+    round((phi - phi_s)/(2*pi)) coordinatewise.
+    """
+    best = np.full(points.shape[0], np.inf)
+    near = np.empty(points.shape) if witness else None
+    for q in s.base:
+        for sign in (1.0, -1.0):
+            cand = sign * np.asarray(q)
+            diff = points - cand
+            if s.n:
+                ang = diff[:, s.m:]
+                shift = TWO_PI * np.round(ang / TWO_PI)
+                diff[:, s.m:] = ang - shift
+            d = np.linalg.norm(diff, axis=1)
+            if witness:
+                closer = d < best
+                near[closer] = cand
+                if s.n:
+                    near[closer, s.m:] += shift[closer]
+            np.minimum(best, d, out=best)
+    return best, near
+
+
 def nearest_singular(s: SingularSet, point):
     """Minimum distance from a point to the full singular set.
 
     Returns (distance, witness).  The witness is the attaining singular
     point including its 2*pi lattice shift; (inf, None) for an empty set.
-    The lattice minimization is exact: the squared distance separates per
-    angle coordinate, so the optimal shift is round((phi - phi_s)/(2*pi))
-    coordinatewise, which always lies inside the finite inspection window
-    of one extra turn around the query point.
     """
     point = np.asarray(point, dtype=float)
     if not np.all(np.isfinite(point)):
         raise ValueError("query point must be finite")
     if s.is_empty():
         return math.inf, None
-    best = math.inf
-    witness = None
-    for q in s.base:
-        for sign in (1.0, -1.0):
-            cand = sign * np.asarray(q)
-            w = cand.copy()
-            if s.n:
-                delta = point[s.m:] - cand[s.m:]
-                shift = TWO_PI * np.round(delta / TWO_PI)
-                w[s.m:] = cand[s.m:] + shift
-            d = float(np.linalg.norm(point - w))
-            if d < best:
-                best = d
-                witness = w
-    return best, witness
+    d, near = _nearest(s, point[None, :], witness=True)
+    return float(d[0]), near[0]
 
 
 def nearest_distances(s: SingularSet, points: np.ndarray) -> np.ndarray:
@@ -283,17 +295,7 @@ def nearest_distances(s: SingularSet, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if s.is_empty():
         return np.full(points.shape[0], np.inf)
-    best = np.full(points.shape[0], np.inf)
-    for q in s.base:
-        for sign in (1.0, -1.0):
-            cand = sign * np.asarray(q)
-            diff = points - cand
-            if s.n:
-                ang = diff[:, s.m:]
-                diff = diff.copy()
-                diff[:, s.m:] = ang - TWO_PI * np.round(ang / TWO_PI)
-            np.minimum(best, np.linalg.norm(diff, axis=1), out=best)
-    return best
+    return _nearest(s, points, witness=False)[0]
 
 
 def is_autonomous(model: ModelSpec) -> bool:

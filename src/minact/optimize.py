@@ -30,7 +30,7 @@ from .action import LagrangianTerms, action_report, apriori_radius, \
     coercivity_margin
 from .model import ModelSpec, enumerate_planar, nearest_distances, \
     singular_set
-from .trajectory import FourierTrajectory, HomotopySignature, SampledPath, \
+from .trajectory import FourierTrajectory, HomotopySignature, SineGrid, \
     WindingRefinementError, h1_seminorm, winding_signature, \
     windings_of_closed_points
 
@@ -40,6 +40,18 @@ __all__ = ["SolveOptions", "SolveResult", "OptimizeError",
 
 class OptimizeError(ValueError):
     """Invalid options or an unusable seed."""
+
+
+# Fixed settings of the solver: the smallest line-search step, the
+# penalty schedule mu = 10, 100, ..., 1e8 for constrained models, the
+# divergence threshold as a multiple of the a priori radius (or of the
+# seed's H1 norm), and the number of L-BFGS pairs kept.
+STEP_TOL = 1e-14
+PENALTY_MU0 = 10.0
+PENALTY_GROWTH = 10.0
+PENALTY_MAX = 1e8
+DIVERGE_FACTOR = 10.0
+LBFGS_PAIRS = 20
 
 
 @dataclass(frozen=True)
@@ -54,27 +66,17 @@ class SolveOptions:
     M: int = 0
     max_iters: int = 2000
     grad_tol: float = 1e-8
-    step_tol: float = 1e-14
     guard_delta: float = 1e-3
-    penalty_mu0: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_max: float = 1e8
-    diverge_factor: float = 10.0
 
     def __post_init__(self):
         if self.M == 0:
             object.__setattr__(self, "M", 8 * self.N)
-        fields = ("N", "M", "max_iters", "grad_tol", "step_tol",
-                  "guard_delta", "penalty_mu0", "penalty_growth",
-                  "penalty_max", "diverge_factor")
-        for name in fields:
+        for name in ("N", "M", "max_iters", "grad_tol", "guard_delta"):
             if getattr(self, name) <= 0:
                 raise OptimizeError(f"option {name} must be positive")
         if self.M < 2 * self.N + 1:
             raise OptimizeError(
                 f"M = {self.M} must be at least 2N+1 = {2 * self.N + 1}")
-        if self.penalty_growth <= 1.0:
-            raise OptimizeError("penalty_growth must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -99,49 +101,32 @@ class SolveResult:
 class _Objective:
     """Penalized action and gradient as functions of flat coefficients.
 
-    Basis matrices for the quadrature grid and the (coarser) winding grid
-    are built once; every inner-loop quantity is then a dense matmul.
+    The sine bases of the quadrature grid and of the two (coarser) winding
+    grids are built once; every inner-loop quantity is then a dense
+    matmul.
     """
 
     def __init__(self, model: ModelSpec, proto: FourierTrajectory,
                  M: int, terms: LagrangianTerms, sig_nodes: int):
-        self.model = model
         self.proto = proto
-        self.M = M
         self.terms = terms
         self.weight = model.omega / M
         self.sigma = singular_set(model)
-        self.drift = proto.drift()
-        t = model.omega * np.arange(M) / M
-        w = proto.frequencies()
-        phases = np.outer(t, w)
-        self.S_mat = np.sin(phases)
-        self.Cw_mat = np.cos(phases) * w[None, :]
-        self.t = t
-        self.z_drift = np.outer(t, self.drift)
+        self.grid = SineGrid.uniform(proto, M)
         self.shape = proto.coeffs.shape
-        t_sig = model.omega * np.arange(sig_nodes) / sig_nodes
-        self.sig_S = np.sin(np.outer(t_sig, w))
-        self.sig_drift = np.outer(t_sig, self.drift)
-        t_sig2 = model.omega * np.arange(2 * sig_nodes) / (2 * sig_nodes)
-        self.sig_S2 = np.sin(np.outer(t_sig2, w))
-        self.sig_drift2 = np.outer(t_sig2, self.drift)
+        self.sig_grids = (SineGrid.uniform(proto, sig_nodes, velocity=False),
+                          SineGrid.uniform(proto, 2 * sig_nodes,
+                                           velocity=False))
         self.sig_centers = (tuple(enumerate_planar(self.sigma))
                             if not self.sigma.is_empty() else ())
 
     def traj(self, b_flat: np.ndarray) -> FourierTrajectory:
         return self.proto.with_coeffs(b_flat.reshape(self.shape))
 
-    def _path(self, b_flat: np.ndarray) -> SampledPath:
-        B = b_flat.reshape(self.shape)
-        z = self.z_drift + self.S_mat @ B
-        dz = self.drift[None, :] + self.Cw_mat @ B
-        return SampledPath(t=self.t, z=z, dz=dz, ddz=None)
-
     def node_min_distance(self, b_flat: np.ndarray) -> float:
         if self.sigma.is_empty():
             return math.inf
-        z = self.z_drift + self.S_mat @ b_flat.reshape(self.shape)
+        z = self.grid.z(b_flat.reshape(self.shape))
         return float(np.min(nearest_distances(self.sigma, z)))
 
     def windings(self, b_flat: np.ndarray):
@@ -154,10 +139,8 @@ class _Objective:
         rejection.
         """
         B = b_flat.reshape(self.shape)
-        for S_mat, drift in ((self.sig_S, self.sig_drift),
-                             (self.sig_S2, self.sig_drift2)):
-            ws = windings_of_closed_points(drift + S_mat @ B,
-                                           self.sig_centers)
+        for grid in self.sig_grids:
+            ws = windings_of_closed_points(grid.z(B), self.sig_centers)
             if ws is not None:
                 return ws
         raise WindingRefinementError(
@@ -165,7 +148,7 @@ class _Objective:
             "winding numbers at the cached resolution")
 
     def value_and_grad(self, b_flat: np.ndarray, mu: float):
-        path = self._path(b_flat)
+        path = self.grid.path(b_flat.reshape(self.shape))
         fields = self.terms.fields(path.t, path.z)
         L = self.terms.lagrangian_at(path, fields)
         S = self.weight * float(np.sum(L))
@@ -175,15 +158,8 @@ class _Objective:
             J = self.terms.constraint_jacobian_at(path.t, path.z)  # (M,l,dim)
             S += 0.5 * mu * self.weight * float(np.sum(F * F))
             dLdz = dLdz + mu * np.einsum("ml,mld->md", F, J)
-        grad = self.weight * (self.S_mat.T @ dLdz + self.Cw_mat.T @ dLdv)
+        grad = self.weight * self.grid.gradient(dLdz, dLdv)
         return S, grad.reshape(-1)
-
-    def constraint_residual(self, b_flat: np.ndarray) -> float:
-        if not self.terms.f:
-            return 0.0
-        path = self._path(b_flat)
-        F = self.terms.constraints_at(path.t, path.z)
-        return self.weight * float(np.sum(F * F))
 
 
 class _LbfgsMemory:
@@ -195,9 +171,8 @@ class _LbfgsMemory:
     identity seeding suffers from.
     """
 
-    def __init__(self, diag_h0: np.ndarray, max_pairs: int = 20):
+    def __init__(self, diag_h0: np.ndarray):
         self.d0 = diag_h0
-        self.max_pairs = max_pairs
         self.s: list[np.ndarray] = []
         self.y: list[np.ndarray] = []
 
@@ -209,7 +184,7 @@ class _LbfgsMemory:
         sy = float(np.dot(s, y))
         if sy <= 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             return  # skip pairs that would break positive definiteness
-        if len(self.s) == self.max_pairs:
+        if len(self.s) == LBFGS_PAIRS:
             self.s.pop(0)
             self.y.pop(0)
         self.s.append(s)
@@ -238,13 +213,6 @@ class _LbfgsMemory:
         return -q
 
 
-def _signature_or_none(traj, sigma, sig_nodes):
-    try:
-        return winding_signature(traj, sigma, M=sig_nodes)
-    except WindingRefinementError:
-        return None
-
-
 def minimize(model: ModelSpec, seed: FourierTrajectory,
              opts: SolveOptions) -> SolveResult:
     """Minimize the (penalized) discrete action starting from the seed.
@@ -253,7 +221,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
       Converged        gradient norm reached grad_tol in the last penalty
                        phase, signature preserved;
       Diverged         H1 norm left the a priori ball (positive margin) or
-                       grew past diverge_factor times the seed scale;
+                       grew past DIVERGE_FACTOR times the seed scale;
       GuardTriggered   no step exists keeping guard_delta clearance;
       SignatureChanged no step exists keeping the seed's windings;
       MaxIter          iteration budget exhausted.
@@ -295,29 +263,30 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
     if margin > 0.0:
         S_seed, _ = obj.value_and_grad(seed.coeffs.reshape(-1), 0.0)
         radius = apriori_radius(model.constants, model.omega, S_seed)
-    diverge_h1 = (opts.diverge_factor * radius if radius is not None
-                  else opts.diverge_factor * max(1.0, seed_h1))
+    diverge_h1 = (DIVERGE_FACTOR * radius if radius is not None
+                  else DIVERGE_FACTOR * max(1.0, seed_h1))
 
     phases = [0.0]
     if model.constraints:
         phases = []
-        mu = opts.penalty_mu0
-        while mu <= opts.penalty_max:
+        mu = PENALTY_MU0
+        while mu <= PENALTY_MAX:
             phases.append(mu)
-            mu *= opts.penalty_growth
-        if not phases:
-            phases = [opts.penalty_mu0]
+            mu *= PENALTY_GROWTH
 
     b = seed.coeffs.reshape(-1).copy()
     history: list[dict] = []
     total_iter = 0
-    status = "MaxIter"
 
     def finish(status: str, b_final: np.ndarray) -> SolveResult:
         traj = obj.traj(b_final)
         report = action_report(model, traj, opts.M, terms)
-        sig = _signature_or_none(traj, sigma, sig_nodes) \
-            if track_signature else None
+        sig = None
+        if track_signature:
+            try:
+                sig = winding_signature(traj, sigma, M=sig_nodes)
+            except WindingRefinementError:
+                pass  # unclassifiable: not Converged, see below
         if status == "Converged" and track_signature:
             if sig is None or sig.windings != seed_windings:
                 status = "SignatureChanged"
@@ -361,7 +330,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             reject_reason = "armijo"
             domain_err = None
             accepted = None
-            while alpha >= opts.step_tol:
+            while alpha >= STEP_TOL:
                 cand = b + alpha * direction
                 if not sigma.is_empty():
                     d = obj.node_min_distance(cand)

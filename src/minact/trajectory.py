@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .model import SingularSet, enumerate_planar, nearest_distances, \
     nearest_singular
 
 __all__ = [
-    "FourierTrajectory", "SampledPath", "HomotopySignature",
+    "FourierTrajectory", "SampledPath", "SineGrid", "HomotopySignature",
     "TrajectoryError", "SeedError", "WindingRefinementError",
     "sample", "evaluate_path", "h1_seminorm", "winding_signature",
     "windings_of_closed_points", "min_distance_to", "seed_curve",
@@ -132,17 +132,60 @@ class HomotopySignature:
         return self.windings == other.windings
 
 
-def _basis(traj: FourierTrajectory, t: np.ndarray):
-    # sin/cos design matrices; phases (len(t), N)
-    phases = np.outer(t, traj.frequencies())
-    return np.sin(phases), np.cos(phases)
+class SineGrid:
+    """The sine basis of one trajectory space on a node array.
+
+    Holds the nodes t, S = sin(w t) and Cw = w cos(w t) for the mode
+    frequencies w, so that coefficients B give
+
+        z = drift*t + S @ B,    dz = drift + Cw @ B,
+
+    and the coefficient gradient of a node sum of L(t, z, dz) is
+    S^T dL/dz + Cw^T dL/ddz.  Cw is left out (None) when velocity is
+    False, for callers that need positions only.
+    """
+
+    def __init__(self, traj: FourierTrajectory, t: np.ndarray,
+                 velocity: bool = True):
+        self.t = t
+        self.w = traj.frequencies()
+        self.drift = traj.drift()
+        self.z_drift = np.outer(t, self.drift)
+        phases = np.outer(t, self.w)
+        self.S = np.sin(phases)
+        self.Cw = np.cos(phases) * self.w if velocity else None
+
+    @classmethod
+    def uniform(cls, traj: FourierTrajectory, M: int,
+                velocity: bool = True) -> "SineGrid":
+        """The grid on the M uniform nodes i*omega/M of one period.
+
+        With velocities it is a quadrature grid, and then requires
+        M >= 2N + 1 so that no represented mode aliases on it.
+        """
+        M = int(M)
+        if velocity and M < 2 * traj.N + 1:
+            raise TrajectoryError(
+                f"M = {M} too small for N = {traj.N} modes (need M >= 2N+1)")
+        return cls(traj, traj.omega * np.arange(M) / M, velocity)
+
+    def z(self, B: np.ndarray) -> np.ndarray:
+        return self.z_drift + self.S @ B
+
+    def path(self, B: np.ndarray) -> SampledPath:
+        """Positions and velocities at the nodes (ddz is not computed)."""
+        return SampledPath(t=self.t, z=self.z(B),
+                           dz=self.drift + self.Cw @ B, ddz=None)
+
+    def gradient(self, dLdz: np.ndarray, dLdv: np.ndarray) -> np.ndarray:
+        """S^T dLdz + Cw^T dLdv, shape (N, dim)."""
+        return self.S.T @ dLdz + self.Cw.T @ dLdv
 
 
 def evaluate_path(traj: FourierTrajectory, t) -> np.ndarray:
     """Positions z(t) for arbitrary times t; shape (len(t), dim)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    S, _ = _basis(traj, t)
-    return np.outer(t, traj.drift()) + S @ traj.coeffs
+    return SineGrid(traj, t, velocity=False).z(traj.coeffs)
 
 
 def sample(traj: FourierTrajectory, M: int) -> SampledPath:
@@ -150,19 +193,10 @@ def sample(traj: FourierTrajectory, M: int) -> SampledPath:
 
     Requires M >= 2N + 1 so that no represented mode aliases on the grid.
     """
-    M = int(M)
-    if M < 2 * traj.N + 1:
-        raise TrajectoryError(
-            f"M = {M} too small for N = {traj.N} modes (need M >= 2N+1)")
-    t = traj.omega * np.arange(M) / M
-    S, C = _basis(traj, t)
-    w = traj.frequencies()
+    grid = SineGrid.uniform(traj, M)
     b = traj.coeffs
-    drift = traj.drift()
-    z = np.outer(t, drift) + S @ b
-    dz = drift + C @ (w[:, None] * b)
-    ddz = -S @ (w[:, None] ** 2 * b)
-    return SampledPath(t=t, z=z, dz=dz, ddz=ddz)
+    path = grid.path(b)
+    return replace(path, ddz=-grid.S @ (grid.w[:, None] ** 2 * b))
 
 
 def h1_seminorm(traj: FourierTrajectory) -> float:
@@ -188,54 +222,24 @@ def h1_seminorm(traj: FourierTrajectory) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _winding_of_points(points: np.ndarray, center) -> tuple:
-    """Accumulated principal-value angle increments of a closed polygon.
-
-    Returns (winding_sum, max_abs_increment) where winding_sum is the total
-    signed angle divided by 2*pi.  Counterclockwise is positive.
-    """
-    rel = points - np.asarray(center, dtype=float)
-    theta = np.arctan2(rel[:, 1], rel[:, 0])
-    if len(theta) == 0:
-        return 0.0, 0.0
-    inc = np.diff(np.concatenate([theta, theta[:1]]))
-    inc = (inc + math.pi) % TWO_PI - math.pi
-    return float(np.sum(inc) / TWO_PI), float(np.max(np.abs(inc)))
-
-
-def _winding_integer(traj: FourierTrajectory, center, M0: int,
-                     cap: int) -> int:
-    M = M0
-    while True:
-        t = traj.omega * np.arange(M) / M
-        pts = evaluate_path(traj, t)
-        total, worst = _winding_of_points(pts, center)
-        if worst < math.pi / 2.0:
-            w = round(total)
-            if abs(total - w) > 1e-6:
-                raise WindingRefinementError(
-                    f"winding sum {total} is not an integer; curve may "
-                    f"touch the singular point {tuple(center)}")
-            return w
-        if M >= cap:
-            raise WindingRefinementError(
-                f"cannot classify winding around {tuple(center)}: angle "
-                f"increments stay >= pi/2 at M = {M}")
-        M *= 2
-
-
 def windings_of_closed_points(points: np.ndarray, centers) -> dict | None:
     """One-shot windings of a sampled closed planar loop about centers.
 
-    Returns {center: integer winding} when every angle increment stays
-    below pi/2 and every total is integral, else None (the sampling is
-    too coarse to classify; callers refine or fall back).
+    Sums the principal-value angle increments of the closed polygon,
+    counterclockwise positive.  Returns {center: integer winding} when
+    every increment stays below pi/2 and every total is integral, else
+    None (the sampling is too coarse to classify; callers refine or fall
+    back).
     """
     out = {}
     for c in centers:
-        total, worst = _winding_of_points(points, c)
-        if worst >= math.pi / 2.0:
+        rel = points - np.asarray(c, dtype=float)
+        theta = np.arctan2(rel[:, 1], rel[:, 0])
+        inc = np.diff(theta, append=theta[:1])
+        inc = (inc + math.pi) % TWO_PI - math.pi
+        if inc.size and np.max(np.abs(inc)) >= math.pi / 2.0:
             return None
+        total = float(np.sum(inc) / TWO_PI)
         w = round(total)
         if abs(total - w) > 1e-6:
             return None
@@ -243,30 +247,38 @@ def windings_of_closed_points(points: np.ndarray, centers) -> dict | None:
     return out
 
 
-def _refine_local_min(traj: FourierTrajectory, s: SingularSet,
-                      t_lo: float, t_hi: float, iters: int = 50) -> float:
-    # golden-section the node-sampled local minimum of the distance;
-    # the distance is continuous and locally unimodal at this resolution
+def _distance_profile(traj: FourierTrajectory, s: SingularSet, M: int):
+    """Points and node distances on a dense grid, and the refined minimum.
+
+    Golden-section search refines every sampled local minimum of the
+    distance at once, 50 steps on the bracket of its two neighbour nodes;
+    the distance is continuous and locally unimodal at this resolution.
+    """
+    M = max(int(M), 4 * traj.N + 4, 64)
+    pts = SineGrid.uniform(traj, M, velocity=False).z(traj.coeffs)
+    d = nearest_distances(s, pts)
+    h = traj.omega / M
+    local = np.nonzero((d <= np.roll(d, 1)) & (d <= np.roll(d, -1)))[0]
+    ti = traj.omega * local / M
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = t_lo, t_hi
+    a, b = ti - h, ti + h
     c = b - inv * (b - a)
-    d = a + inv * (b - a)
+    e = a + inv * (b - a)
 
-    def dist(tt: float) -> float:
-        p = evaluate_path(traj, [tt])[0]
-        return nearest_singular(s, p)[0]
+    def dist(tt):
+        return nearest_distances(s, evaluate_path(traj, tt))
 
-    fc, fd = dist(c), dist(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = dist(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = dist(d)
-    return min(fc, fd)
+    fc, fe = dist(c), dist(e)
+    for _ in range(50):
+        left = fc <= fe
+        # left: the minimum lies in [a, e]; else in [c, b]
+        a, b = np.where(left, a, c), np.where(left, e, b)
+        c, e = (np.where(left, b - inv * (b - a), e),
+                np.where(left, c, a + inv * (b - a)))
+        f = dist(np.where(left, c, e))
+        fc, fe = np.where(left, f, fe), np.where(left, fc, f)
+    best = min(float(np.min(d)), float(np.min(np.minimum(fc, fe))))
+    return pts, d, best
 
 
 def min_distance_to(traj: FourierTrajectory, s: SingularSet,
@@ -278,17 +290,7 @@ def min_distance_to(traj: FourierTrajectory, s: SingularSet,
     """
     if s.is_empty():
         return math.inf
-    M = max(int(M), 4 * traj.N + 4, 64)
-    t = traj.omega * np.arange(M) / M
-    pts = evaluate_path(traj, t)
-    d = nearest_distances(s, pts)
-    best = float(np.min(d))
-    h = traj.omega / M
-    local = np.nonzero((d <= np.roll(d, 1)) & (d <= np.roll(d, -1)))[0]
-    for i in local:
-        ti = t[i]
-        best = min(best, _refine_local_min(traj, s, ti - h, ti + h))
-    return best
+    return _distance_profile(traj, s, M)[2]
 
 
 def winding_signature(traj: FourierTrajectory, s: SingularSet,
@@ -296,9 +298,10 @@ def winding_signature(traj: FourierTrajectory, s: SingularSet,
     """Winding numbers around the planar singular points plus clearance.
 
     Windings are computed only when m = 2, n = 0 (closed planar curves);
-    the angle-increment criterion max |dtheta| < pi/2 is enforced by
-    doubling the sample count up to a cap.  min_distance and the clearance
-    integral are computed for any dimensions.
+    the angle-increment criterion max |dtheta| < pi/2 is enforced for all
+    centers together by doubling the sample count up to a cap.
+    min_distance and the clearance integral are computed for any
+    dimensions.
     """
     if M is None:
         M = max(16 * traj.N, 64)
@@ -309,19 +312,25 @@ def winding_signature(traj: FourierTrajectory, s: SingularSet,
     windings = {}
     if s.m == 2 and s.n == 0 and traj.dim == 2:
         cap = max(M * 256, 1 << 20)
-        for p in enumerate_planar(s):
-            windings[p] = _winding_integer(traj, p, M, cap)
-    dist = min_distance_to(traj, s, M=max(M, 1024))
+        centers = enumerate_planar(s)
+        level = M
+        while True:
+            pts = SineGrid.uniform(traj, level, velocity=False) \
+                .z(traj.coeffs)
+            windings = windings_of_closed_points(pts, centers)
+            if windings is not None:
+                break
+            if level >= cap:
+                raise WindingRefinementError(
+                    f"cannot classify the windings around {centers}: "
+                    f"angle increments stay >= pi/2 at M = {level}")
+            level *= 2
+    pts, d, dist = _distance_profile(traj, s, max(M, 1024))
     # clearance integral against the fixed singular point nearest to the
     # curve, by the same uniform quadrature the action uses
-    Mq = max(M, 1024)
-    t = traj.omega * np.arange(Mq) / Mq
-    pts = evaluate_path(traj, t)
-    d = nearest_distances(s, pts)
-    i0 = int(np.argmin(d))
-    _, witness = nearest_singular(s, pts[i0])
+    _, witness = nearest_singular(s, pts[int(np.argmin(d))])
     gap2 = np.sum((pts - witness) ** 2, axis=1)
-    clearance = float(traj.omega / Mq * np.sum(1.0 / gap2))
+    clearance = float(traj.omega / len(pts) * np.sum(1.0 / gap2))
     return HomotopySignature(windings=windings, min_distance=dist,
                              clearance_integral=clearance)
 
@@ -369,7 +378,9 @@ def seed_curve(m_coils: int, s: SingularSet, omega: float,
     Mf = 4096
     while Mf < 16 * max(N, 4 * m_coils):
         Mf *= 2
-    t = omega * np.arange(Mf) / Mf
+    proto = FourierTrajectory(omega=omega, nu=(), coeffs=np.zeros((N, 2)))
+    grid = SineGrid.uniform(proto, Mf, velocity=False)
+    t = grid.t
     half = t <= omega / 2.0
     theta = TWO_PI * m_coils * (2.0 * t / omega)
     zs = np.empty((Mf, 2))
@@ -382,10 +393,7 @@ def seed_curve(m_coils: int, s: SingularSet, omega: float,
     zs[~half] = -(r0[None, :] - np.outer(np.cos(theta_m), r0)
                   + rho * np.outer(np.sin(theta_m), p))
 
-    k = np.arange(1, N + 1)
-    S = np.sin(np.outer(t, TWO_PI * k / omega))
-    coeffs = (2.0 / Mf) * (S.T @ zs)
-    traj = FourierTrajectory(omega=omega, nu=(), coeffs=coeffs)
+    traj = proto.with_coeffs((2.0 / Mf) * (grid.S.T @ zs))
 
     try:
         sig = winding_signature(traj, s, M=max(16 * N, 256))
@@ -443,10 +451,9 @@ def poincare_check(u_coeffs, omega: float, a: float,
     if not 0.0 < a <= omega * (1.0 + 1e-12):
         raise TrajectoryError("need 0 < a <= omega")
     t = np.linspace(0.0, a, int(quad_points) + 1)
-    w = TWO_PI * np.arange(1, len(u) + 1) / omega
-    phases = np.outer(t, w)
-    vals = np.sin(phases) @ u
-    dvals = np.cos(phases) @ (w * u)
+    grid = SineGrid(FourierTrajectory(omega, (), u[:, None]), t)
+    vals = grid.S @ u
+    dvals = grid.Cw @ u
     l2_u = float(np.trapezoid(vals * vals, t))
     l2_du = float(np.trapezoid(dvals * dvals, t))
     sup_u = float(np.max(vals * vals))

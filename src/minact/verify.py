@@ -125,37 +125,29 @@ def _draw_samples(model: ModelSpec, sampler: SamplerOptions):
     return t, z
 
 
-def _even_ok(f, t, z):
-    """Check f(-t,-z) == f(t,z); return (ok, witness or None)."""
+def _parity_ok(f, t, z, declared=None):
+    """Check f(-t,-z) == f(t,z), or == -f(t,z) when declared is "odd".
+
+    Returns (ok, witness or None).  declared is a constraint's parity tag,
+    which its witness repeats; the model data g, a and V pass None and
+    must be even.
+    """
+    sign = -1.0 if declared == "odd" else 1.0
     try:
         plus = ex.evaluate(f, t, z)
         minus = ex.evaluate(f, -t, -z)
     except ex.EvalDomainError:
         return True, None  # partial domain: nothing falsified
     scale = 1.0 + np.maximum(np.abs(plus), np.abs(minus))
-    bad = np.abs(minus - plus) > _PARITY_RTOL * scale
-    if not np.any(bad):
-        return True, None
-    i = int(np.argmax(bad))
-    return False, {"t": float(t[i]), "z": z[i].copy(),
-                   "value": float(plus[i]), "reflected": float(minus[i])}
-
-
-def _parity_constraint_ok(f, parity, t, z):
-    sign = -1.0 if parity == "odd" else 1.0
-    try:
-        plus = ex.evaluate(f, t, z)
-        minus = ex.evaluate(f, -t, -z)
-    except ex.EvalDomainError:
-        return True, None
-    scale = 1.0 + np.maximum(np.abs(plus), np.abs(minus))
     bad = np.abs(minus - sign * plus) > _PARITY_RTOL * scale
     if not np.any(bad):
         return True, None
     i = int(np.argmax(bad))
-    return False, {"t": float(t[i]), "z": z[i].copy(),
-                   "value": float(plus[i]), "reflected": float(minus[i]),
-                   "declared": parity}
+    wit = {"t": float(t[i]), "z": z[i].copy(),
+           "value": float(plus[i]), "reflected": float(minus[i])}
+    if declared is not None:
+        wit["declared"] = declared
+    return False, wit
 
 
 def _refine_feasible(terms: LagrangianTerms, t: float, z0: np.ndarray,
@@ -222,21 +214,21 @@ def check_hypotheses(model: ModelSpec,
     g_wit = None
     for i in range(dim):
         for j in range(dim):
-            ok, wit = _even_ok(model.metric[i][j], t, z)
+            ok, wit = _parity_ok(model.metric[i][j], t, z)
             if not ok and g_ok:
                 g_ok, g_wit = False, wit
     note_parity("g", g_ok, g_wit)
     a_ok = True
     a_wit = None
     for i in range(dim):
-        ok, wit = _even_ok(model.gyro[i], t, z)
+        ok, wit = _parity_ok(model.gyro[i], t, z)
         if not ok and a_ok:
             a_ok, a_wit = False, wit
     note_parity("a", a_ok, a_wit)
-    ok, wit = _even_ok(model.potential, t, z)
+    ok, wit = _parity_ok(model.potential, t, z)
     note_parity("V", ok, wit)
     for ci, c in enumerate(model.constraints):
-        ok, wit = _parity_constraint_ok(c.f, c.parity, t, z)
+        ok, wit = _parity_ok(c.f, t, z, c.parity)
         note_parity(f"constraint[{ci}]", ok, wit)
 
     # metric lower bound on random unit directions

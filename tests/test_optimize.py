@@ -188,8 +188,6 @@ def test_solver_option_validation():
         SolveOptions(N=8, M=10)  # below 2N+1
     with pytest.raises(OptimizeError):
         SolveOptions(N=8, grad_tol=-1.0)
-    with pytest.raises(OptimizeError):
-        SolveOptions(N=8, penalty_growth=1.0)
 
 
 def test_seed_mode_count_mismatch():

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from minact.model import SingularSet, builtin, singular_set
+from minact.model import SingularSet, builtin, nearest_distances, \
+    nearest_singular, singular_set
 from minact.trajectory import (
     FourierTrajectory, HomotopySignature, PoincareBounds, SeedError,
-    TrajectoryError, coeffs_to_dict, evaluate_path, h1_seminorm, load_coeffs,
-    min_distance_to, poincare_check, sample, save_coeffs, seed_curve,
-    trajectory_from_dict, winding_signature, windings_of_closed_points,
-    write_trajectory_csv,
+    TrajectoryError, WindingRefinementError, coeffs_to_dict, evaluate_path,
+    h1_seminorm, load_coeffs, min_distance_to, poincare_check, sample,
+    save_coeffs, seed_curve, trajectory_from_dict, winding_signature,
+    windings_of_closed_points, write_trajectory_csv,
 )
 from conftest import random_trajectory
 
@@ -164,6 +165,66 @@ def test_min_distance_line_segment():
     assert abs(min_distance_to(traj, s_right) - 1.0) < 1e-8
     s_above = SingularSet(base=((0.0, 1.0),), m=2, n=0)
     assert abs(min_distance_to(traj, s_above) - 1.0) < 1e-8
+
+
+def test_min_distance_angle_lattice():
+    """x = 0, phi = t sweeps every angle, so (0.5, 1) is 0.5 away."""
+    traj = FourierTrajectory(TWO_PI, (1,), np.zeros((4, 2)))
+    s = SingularSet(base=((0.5, 1.0),), m=1, n=1)
+    assert abs(min_distance_to(traj, s) - 0.5) < 1e-10
+
+
+def _scalar_min_distance(traj, s, M=1024):
+    """Reference: golden-section search on one sampled minimum at a time."""
+    M = max(M, 4 * traj.N + 4, 64)
+    t = traj.omega * np.arange(M) / M
+    d = nearest_distances(s, evaluate_path(traj, t))
+    best = float(np.min(d))
+    h = traj.omega / M
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def dist(tt):
+        return nearest_singular(s, evaluate_path(traj, [tt])[0])[0]
+
+    for i in np.nonzero((d <= np.roll(d, 1)) & (d <= np.roll(d, -1)))[0]:
+        a, b = t[i] - h, t[i] + h
+        c, e = b - inv * (b - a), a + inv * (b - a)
+        fc, fe = dist(c), dist(e)
+        for _ in range(50):
+            if fc <= fe:
+                b, e, fe = e, c, fc
+                c = b - inv * (b - a)
+                fc = dist(c)
+            else:
+                a, c, fc = c, e, fe
+                e = a + inv * (b - a)
+                fe = dist(e)
+        best = min(best, fc, fe)
+    return best
+
+
+def test_min_distance_matches_scalar_refinement(rng):
+    """Refining all sampled minima at once agrees with one at a time."""
+    planar = SingularSet(base=((0.7, 0.2), (0.1, -0.9)), m=2, n=0)
+    lattice = SingularSet(base=((0.4, 1.0, -2.0),), m=1, n=2)
+    for _ in range(5):
+        traj = random_trajectory(rng, dim=2, N=6)
+        ref = _scalar_min_distance(traj, planar)
+        assert abs(min_distance_to(traj, planar) - ref) <= 1e-12 * ref
+        traj = random_trajectory(rng, dim=3, N=4, nu=(1, -2))
+        ref = _scalar_min_distance(traj, lattice)
+        assert abs(min_distance_to(traj, lattice) - ref) <= 1e-12 * ref
+
+
+def test_winding_signature_point_on_curve_cannot_be_classified():
+    """A singular point on the figure-eight keeps an angle increment near
+    pi at every refinement level, so classification gives up at the cap."""
+    coeffs = np.zeros((4, 2))
+    coeffs[0, 0], coeffs[1, 1] = 2.0, 1.0  # (2 sin t, sin 2t)
+    traj = FourierTrajectory(TWO_PI, (), coeffs)
+    on_curve = tuple(evaluate_path(traj, [1.0])[0])
+    with pytest.raises(WindingRefinementError):
+        winding_signature(traj, SingularSet(base=(on_curve,), m=2, n=0))
 
 
 def test_min_distance_empty_set():

@@ -204,7 +204,9 @@ class LagrangianTerms:
                   "dV": (M, dim), "dtG": (M, dim, dim), "dta": (M, dim),
                   "f": (M, l), "df": (M, l, dim), "dtf": (M, l)}
         out = {g: np.empty(shapes[g]) for g in groups}
-        for (group, places), v in zip(targets, tape.run(t, z)):
+        # a root free of t and z comes back a scalar and is broadcast by
+        # the assignment, with the values tape.run would have filled in
+        for (group, places), v in zip(targets, tape._values(t, z)):
             for p in places:
                 out[group][p] = v
         return Fields(**out)

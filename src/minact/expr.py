@@ -488,25 +488,25 @@ def _ev(e: Expr, t, z):
 def _exp(e, a):
     with np.errstate(over="ignore"):
         v = np.exp(a)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise EvalDomainError("exp overflow", e)
     return v
 
 
 def _log(e, a):
-    if np.any(np.asarray(a) <= 0.0):
+    if (np.asarray(a) <= 0.0).any():
         raise EvalDomainError("log of nonpositive value", e)
     return np.log(a)
 
 
 def _sqrt(e, a):
-    if np.any(np.asarray(a) < 0.0):
+    if (np.asarray(a) < 0.0).any():
         raise EvalDomainError("sqrt of negative value", e)
     return np.sqrt(a)
 
 
 def _divide(e, a, b):
-    if np.any(np.asarray(b) == 0.0):
+    if (np.asarray(b) == 0.0).any():
         raise EvalDomainError("division by zero", e)
     return a / b
 
@@ -514,13 +514,13 @@ def _divide(e, a, b):
 def _power(e, a):
     a = np.asarray(a)
     c = e.exponent
-    if c != round(c) and np.any(a < 0.0):
+    if c != round(c) and (a < 0.0).any():
         raise EvalDomainError("negative base under fractional power", e)
-    if c < 0 and np.any(a == 0.0):
+    if c < 0 and (a == 0.0).any():
         raise EvalDomainError("zero base under negative power", e)
     with np.errstate(over="ignore", divide="ignore"):
         v = a ** c
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise EvalDomainError("power overflow", e)
     return v
 
@@ -628,6 +628,12 @@ class Tape:
         evaluate(root, t, z); raises EvalDomainError as evaluate would.
         """
         t = np.asarray(t, dtype=float)
+        return [_nodes_result(v, t) for v in self._values(t, z)]
+
+    def _values(self, t, z) -> list:
+        """As run, but a root that depends on neither t nor z is left a
+        scalar, for callers that broadcast it themselves."""
+        t = np.asarray(t, dtype=float)
         z = np.asarray(z, dtype=float)
         vals = self._leaves.copy()
         for slot, index in self._vars:
@@ -637,7 +643,7 @@ class Tape:
                 vals[slot] = kernel(e, vals[a])
             else:
                 vals[slot] = kernel(e, vals[a], vals[b])
-        return [_nodes_result(vals[slot], t) for slot in self.roots]
+        return [vals[slot] for slot in self.roots]
 
 
 def compile(roots) -> Tape:

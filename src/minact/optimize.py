@@ -175,10 +175,12 @@ class _LbfgsMemory:
         self.d0 = diag_h0
         self.s: list[np.ndarray] = []
         self.y: list[np.ndarray] = []
+        self.rho: list[float] = []  # 1 / (y . s) of each stored pair
 
     def clear(self) -> None:
         self.s.clear()
         self.y.clear()
+        self.rho.clear()
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(np.dot(s, y))
@@ -187,16 +189,17 @@ class _LbfgsMemory:
         if len(self.s) == LBFGS_PAIRS:
             self.s.pop(0)
             self.y.pop(0)
+            self.rho.pop(0)
         self.s.append(s)
         self.y.append(y)
+        self.rho.append(1.0 / sy)
 
     def direction(self, grad: np.ndarray) -> np.ndarray:
         # standard two-loop recursion, H0 = gamma * diag(d0)
         q = grad.copy()
         alphas = []
-        rhos = [1.0 / np.dot(y, s) for s, y in zip(self.s, self.y)]
         for s, y, rho in zip(reversed(self.s), reversed(self.y),
-                             reversed(rhos)):
+                             reversed(self.rho)):
             a = rho * np.dot(s, q)
             alphas.append(a)
             q -= a * y
@@ -206,7 +209,7 @@ class _LbfgsMemory:
         else:
             gamma = 1.0
         q = gamma * (self.d0 * q)
-        for (s, y, rho), a in zip(zip(self.s, self.y, rhos),
+        for (s, y, rho), a in zip(zip(self.s, self.y, self.rho),
                                   reversed(alphas)):
             beta = rho * np.dot(y, q)
             q += (a - beta) * s
@@ -229,12 +232,20 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
     if seed.N != opts.N:
         raise OptimizeError(
             f"seed has N = {seed.N} but options request N = {opts.N}")
+    if abs(seed.omega - model.omega) > 1e-12 * model.omega:
+        raise OptimizeError("seed period differs from the model period")
+    if seed.nu != model.nu:
+        raise OptimizeError("seed winding vector differs from the model")
     terms = LagrangianTerms(model)
     sig_nodes = max(16 * opts.N, 64)
     obj = _Objective(model, seed, opts.M, terms, sig_nodes)
     sigma = obj.sigma
     track_signature = (not sigma.is_empty()) and model.m == 2 \
         and model.n == 0
+    # the iterate b carries its node distance and H1 norm, computed once
+    # when it is accepted, into its history rows and the divergence check
+    b = seed.coeffs.reshape(-1).copy()
+    dist = obj.node_min_distance(b)
     seed_windings = None
     if track_signature:
         try:
@@ -247,13 +258,11 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             raise OptimizeError(
                 f"seed clears sigma by {seed_sig.min_distance:.3e}, below "
                 f"guard_delta = {opts.guard_delta}")
-    elif not sigma.is_empty():
-        d0 = obj.node_min_distance(seed.coeffs.reshape(-1))
-        if d0 <= opts.guard_delta:
-            raise OptimizeError("seed violates the singularity guard")
+    elif dist <= opts.guard_delta:
+        raise OptimizeError("seed violates the singularity guard")
 
     margin = coercivity_margin(model.constants, model.omega)
-    seed_h1 = h1_seminorm(seed)
+    h1 = seed_h1 = h1_seminorm(seed)
     # kinetic-block diagonal of the Hessian per mode, repeated over coords
     w_freq = seed.frequencies()
     diag_kin = (model.omega / 2.0) * (2.0 * model.constants.K
@@ -274,7 +283,6 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             phases.append(mu)
             mu *= PENALTY_GROWTH
 
-    b = seed.coeffs.reshape(-1).copy()
     history: list[dict] = []
     total_iter = 0
 
@@ -307,8 +315,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             history.append({
                 "iter": total_iter, "mu": mu, "S_mu": S,
                 "grad_norm": gn,
-                "min_distance": obj.node_min_distance(b),
-                "h1": h1_seminorm(obj.traj(b)),
+                "min_distance": dist, "h1": h1,
             })
             if gn <= opts.grad_tol:
                 break  # phase converged
@@ -332,12 +339,11 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             accepted = None
             while alpha >= STEP_TOL:
                 cand = b + alpha * direction
-                if not sigma.is_empty():
-                    d = obj.node_min_distance(cand)
-                    if d <= opts.guard_delta:
-                        reject_reason = "guard"
-                        alpha *= 0.5
-                        continue
+                d = obj.node_min_distance(cand)
+                if d <= opts.guard_delta:
+                    reject_reason = "guard"
+                    alpha *= 0.5
+                    continue
                 try:
                     S_cand, g_cand = obj.value_and_grad(cand, mu)
                 except ex.EvalDomainError as err:
@@ -361,7 +367,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                         reject_reason = "signature"
                         alpha *= 0.5
                         continue
-                accepted = (cand, S_cand, g_cand)
+                accepted = (cand, S_cand, g_cand, d)
                 break
 
             if accepted is None:
@@ -382,13 +388,14 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                     continue
                 return finish("MaxIter", b)
 
-            cand, S_cand, g_cand = accepted
+            cand, S_cand, g_cand, dist = accepted
             memory.push(cand - b, g_cand - g)
             b, S, g = cand, S_cand, g_cand
+            h1 = h1_seminorm(obj.traj(b))
             retried_steepest = False
             total_iter += 1
 
-            if h1_seminorm(obj.traj(b)) > diverge_h1:
+            if h1 > diverge_h1:
                 return finish("Diverged", b)
 
         # phase ended with small gradient; tighten constraints further
@@ -418,10 +425,6 @@ def solve_in_class(model: ModelSpec, homotopy_class, opts: SolveOptions,
             coeffs = np.zeros((opts.N, seed.dim))
             coeffs[:seed.N] = seed.coeffs
             seed = FourierTrajectory(seed.omega, seed.nu, coeffs)
-        if abs(seed.omega - model.omega) > 1e-12 * model.omega:
-            raise OptimizeError("seed period differs from the model period")
-        if seed.nu != model.nu:
-            raise OptimizeError("seed winding vector differs from the model")
     elif homotopy_class is None:
         seed = FourierTrajectory(model.omega, model.nu,
                                  np.zeros((opts.N, model.dim)))

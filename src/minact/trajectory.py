@@ -56,7 +56,12 @@ class WindingRefinementError(TrajectoryError):
 
 @dataclass(frozen=True, eq=False)
 class FourierTrajectory:
-    """Immutable odd trajectory; coeffs has shape (N, dim), row k-1 = mode k."""
+    """Immutable odd trajectory; coeffs has shape (N, dim), row k-1 = mode k.
+
+    The coefficients are read-only, so results that depend only on the
+    trajectory and a singular set (its distance profile and winding
+    signature) are computed once per trajectory and kept with it.
+    """
 
     omega: float
     nu: tuple
@@ -76,6 +81,13 @@ class FourierTrajectory:
             raise TrajectoryError("coeffs must be finite")
         b.setflags(write=False)
         object.__setattr__(self, "coeffs", b)
+        object.__setattr__(self, "_memo", {})
+
+    def _memoized(self, key, compute):
+        """compute(), run once per key for this trajectory."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def N(self) -> int:
@@ -226,25 +238,28 @@ def windings_of_closed_points(points: np.ndarray, centers) -> dict | None:
     """One-shot windings of a sampled closed planar loop about centers.
 
     Sums the principal-value angle increments of the closed polygon,
-    counterclockwise positive.  Returns {center: integer winding} when
-    every increment stays below pi/2 and every total is integral, else
-    None (the sampling is too coarse to classify; callers refine or fall
-    back).
+    counterclockwise positive, for all centers in one array pass.  Returns
+    {center: integer winding} when every increment stays below pi/2 and
+    every total is integral, else None (the sampling is too coarse to
+    classify; callers refine or fall back).
     """
-    out = {}
-    for c in centers:
-        rel = points - np.asarray(c, dtype=float)
-        theta = np.arctan2(rel[:, 1], rel[:, 0])
-        inc = np.diff(theta, append=theta[:1])
-        inc = (inc + math.pi) % TWO_PI - math.pi
-        if inc.size and np.max(np.abs(inc)) >= math.pi / 2.0:
-            return None
-        total = float(np.sum(inc) / TWO_PI)
-        w = round(total)
-        if abs(total - w) > 1e-6:
-            return None
-        out[c] = w
-    return out
+    centers = list(centers)
+    if not centers:
+        return {}
+    points = np.asarray(points, dtype=float)
+    c = np.asarray(centers, dtype=float)
+    # theta[j, i]: angle of point i seen from center j
+    theta = np.arctan2(points[None, :, 1] - c[:, 1:],
+                       points[None, :, 0] - c[:, :1])
+    inc = np.diff(theta, axis=1, append=theta[:, :1])
+    inc = (inc + math.pi) % TWO_PI - math.pi
+    if inc.size and np.max(np.abs(inc)) >= math.pi / 2.0:
+        return None
+    total = np.sum(inc, axis=1) / TWO_PI
+    w = np.round(total)
+    if np.any(np.abs(total - w) > 1e-6):
+        return None
+    return {center: int(k) for center, k in zip(centers, w)}
 
 
 def _distance_profile(traj: FourierTrajectory, s: SingularSet, M: int):
@@ -253,8 +268,15 @@ def _distance_profile(traj: FourierTrajectory, s: SingularSet, M: int):
     Golden-section search refines every sampled local minimum of the
     distance at once, 50 steps on the bracket of its two neighbour nodes;
     the distance is continuous and locally unimodal at this resolution.
+    Computed once per (s, grid size) for a trajectory; the arrays are
+    read-only.
     """
     M = max(int(M), 4 * traj.N + 4, 64)
+    return traj._memoized(("profile", s, M),
+                          lambda: _compute_profile(traj, s, M))
+
+
+def _compute_profile(traj: FourierTrajectory, s: SingularSet, M: int):
     pts = SineGrid.uniform(traj, M, velocity=False).z(traj.coeffs)
     d = nearest_distances(s, pts)
     h = traj.omega / M
@@ -278,6 +300,8 @@ def _distance_profile(traj: FourierTrajectory, s: SingularSet, M: int):
         f = dist(np.where(left, c, e))
         fc, fe = np.where(left, f, fe), np.where(left, fc, f)
     best = min(float(np.min(d)), float(np.min(np.minimum(fc, fe))))
+    pts.setflags(write=False)
+    d.setflags(write=False)
     return pts, d, best
 
 
@@ -301,11 +325,18 @@ def winding_signature(traj: FourierTrajectory, s: SingularSet,
     the angle-increment criterion max |dtheta| < pi/2 is enforced for all
     centers together by doubling the sample count up to a cap.
     min_distance and the clearance integral are computed for any
-    dimensions.
+    dimensions.  Computed once per (s, M) for a trajectory, so repeated
+    calls return the same object.
     """
     if M is None:
         M = max(16 * traj.N, 64)
     M = int(M)
+    return traj._memoized(("signature", s, M),
+                          lambda: _compute_signature(traj, s, M))
+
+
+def _compute_signature(traj: FourierTrajectory, s: SingularSet,
+                       M: int) -> HomotopySignature:
     if s.is_empty():
         return HomotopySignature(windings={}, min_distance=math.inf,
                                  clearance_integral=0.0)

@@ -64,6 +64,23 @@ def random_trajectory(rng, dim, N=6, omega=TWO_PI, nu=(), scale=1.0):
     return FourierTrajectory(omega, tuple(nu), coeffs)
 
 
+def count_builds(monkeypatch):
+    """Record (kind, trajectory, M) for every distance profile ("profile")
+    and winding signature ("signature") actually computed, not memoized."""
+    import minact.trajectory as trajectory_module
+    built = []
+    for kind, name in (("profile", "_compute_profile"),
+                       ("signature", "_compute_signature")):
+        original = getattr(trajectory_module, name)
+
+        def counted(traj, s, M, kind=kind, original=original):
+            built.append((kind, traj, M))
+            return original(traj, s, M)
+
+        monkeypatch.setattr(trajectory_module, name, counted)
+    return built
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

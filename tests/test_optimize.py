@@ -8,12 +8,13 @@ import pytest
 from minact import expr as ex
 from minact.action import LagrangianTerms, action
 from minact.model import GrowthConstants, ModelSpec, builtin, singular_set
-from minact.optimize import (OptimizeError, SolveOptions, minimize,
+from minact.optimize import (LBFGS_PAIRS, OptimizeError, SolveOptions,
+                             _LbfgsMemory, _Objective, minimize,
                              solve_in_class)
 from minact.trajectory import (FourierTrajectory, h1_seminorm, sample,
                                seed_curve)
 from conftest import (coercive_oscillator_model, constrained_planar_model,
-                      free_drift_model, random_trajectory)
+                      free_drift_model, harmonic_model, random_trajectory)
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,6 +218,20 @@ def test_seed_period_and_winding_validation():
         solve_in_class(model2, bad_nu, SolveOptions(N=8))
 
 
+def test_minimize_rejects_seed_of_another_period_or_winding_vector():
+    """minimize itself checks the seed's period and winding vector: the
+    quadrature weight uses the model's period and the grid the seed's."""
+    model = harmonic_model()
+    with pytest.raises(OptimizeError, match="period"):
+        minimize(model, FourierTrajectory(3.0, (), np.zeros((8, 1))),
+                 SolveOptions(N=8))
+    drift = free_drift_model()
+    with pytest.raises(OptimizeError, match="winding vector"):
+        minimize(drift, FourierTrajectory(drift.omega, (2,),
+                                          np.zeros((8, 1))),
+                 SolveOptions(N=8))
+
+
 def test_seed_too_close_to_sigma_is_rejected():
     """A seed inside the guard ring is unusable."""
     model = shrinking_loop_model()
@@ -237,3 +252,88 @@ def test_result_to_dict_shape():
     d = res.to_dict()
     assert set(d) == {"status", "report", "history", "windings"}
     assert d["windings"] == {"[1.0, 0.0]": -1, "[-1.0, 0.0]": 1}
+
+
+def _record_iterates(monkeypatch):
+    """Wrap _Objective.value_and_grad; keep (objective, b, S, |g|) per call."""
+    calls = []
+    original = _Objective.value_and_grad
+
+    def wrapped(self, b_flat, mu):
+        S, g = original(self, b_flat, mu)
+        calls.append((self, b_flat.copy(), S, float(np.linalg.norm(g))))
+        return S, g
+
+    monkeypatch.setattr(_Objective, "value_and_grad", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["two_centers", "constrained", "diverged"])
+def test_history_distance_and_h1_match_their_iterate(monkeypatch, case):
+    """Each history row's min_distance and h1, carried over from the line
+    search, equal the values recomputed on the row's iterate."""
+    calls = _record_iterates(monkeypatch)
+    if case == "two_centers":
+        res = solve_in_class(builtin("two_centers"), 2, SolveOptions(N=16))
+    elif case == "constrained":
+        res = minimize(constrained_planar_model(),
+                       FourierTrajectory(TWO_PI, (), 0.1 * np.ones((6, 2))),
+                       SolveOptions(N=6))
+    else:
+        res = minimize(builtin("forced_oscillator"),
+                       FourierTrajectory(TWO_PI, (), [[1.0]] + [[0.0]] * 7),
+                       SolveOptions(N=8))
+        assert res.status == "Diverged"
+    assert len(res.history) > 5
+    for row in res.history:
+        # the iterate of a row is the evaluated point with its S and |g|
+        matches = [(obj, b) for obj, b, S, gn in calls
+                   if S == row["S_mu"] and gn == row["grad_norm"]]
+        assert matches, f"no evaluation matches history row {row['iter']}"
+        for obj, b in matches:
+            assert row["min_distance"] == obj.node_min_distance(b)
+            assert row["h1"] == h1_seminorm(obj.traj(b))
+
+
+def _reference_direction(memory, grad):
+    """The two-loop recursion recomputing every rho = 1/(y.s) per call."""
+    q = grad.copy()
+    alphas = []
+    rhos = [1.0 / np.dot(y, s) for s, y in zip(memory.s, memory.y)]
+    for s, y, rho in zip(reversed(memory.s), reversed(memory.y),
+                         reversed(rhos)):
+        a = rho * np.dot(s, q)
+        alphas.append(a)
+        q -= a * y
+    if memory.s:
+        s, y = memory.s[-1], memory.y[-1]
+        gamma = np.dot(s, y) / np.dot(y, memory.d0 * y)
+    else:
+        gamma = 1.0
+    q = gamma * (memory.d0 * q)
+    for (s, y, rho), a in zip(zip(memory.s, memory.y, rhos),
+                              reversed(alphas)):
+        beta = rho * np.dot(y, q)
+        q += (a - beta) * s
+    return -q
+
+
+def test_lbfgs_direction_matches_recomputed_rho(rng):
+    """Storing rho at push time leaves every direction bit for bit equal,
+    also after pairs are evicted, skipped and cleared."""
+    n = 37
+    memory = _LbfgsMemory(rng.uniform(0.1, 2.0, size=n))
+    for step in range(2 * LBFGS_PAIRS + 5):
+        s = rng.normal(size=n)
+        # mostly curvature-positive pairs; every seventh is skipped
+        y = (-s if step % 7 == 3 else s * rng.uniform(0.5, 3.0, size=n)
+             + 0.1 * rng.normal(size=n))
+        memory.push(s, y)
+        assert len(memory.rho) == len(memory.s) <= LBFGS_PAIRS
+        grad = rng.normal(size=n)
+        assert np.array_equal(memory.direction(grad),
+                              _reference_direction(memory, grad))
+    memory.clear()
+    grad = rng.normal(size=n)
+    assert np.array_equal(memory.direction(grad),
+                          _reference_direction(memory, grad))

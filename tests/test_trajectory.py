@@ -9,12 +9,12 @@ from minact.model import SingularSet, builtin, nearest_distances, \
     nearest_singular, singular_set
 from minact.trajectory import (
     FourierTrajectory, HomotopySignature, PoincareBounds, SeedError,
-    TrajectoryError, WindingRefinementError, coeffs_to_dict, evaluate_path,
+    SineGrid, TrajectoryError, WindingRefinementError, coeffs_to_dict, evaluate_path,
     h1_seminorm, load_coeffs, min_distance_to, poincare_check, sample,
     save_coeffs, seed_curve, trajectory_from_dict, winding_signature,
     windings_of_closed_points, write_trajectory_csv,
 )
-from conftest import random_trajectory
+from conftest import count_builds, random_trajectory
 
 TWO_PI = 2.0 * math.pi
 
@@ -359,3 +359,89 @@ def test_coeffs_dict_fields():
     d = coeffs_to_dict(traj)
     assert d == {"omega": 2.0, "nu": [1], "N": 2,
                  "coeffs": [[0.0, 1.0], [0.5, 0.0]]}
+
+
+def _windings_per_center(points, centers):
+    """The one-center-at-a-time classifier, kept as a reference."""
+    out = {}
+    for c in centers:
+        rel = points - np.asarray(c, dtype=float)
+        theta = np.arctan2(rel[:, 1], rel[:, 0])
+        inc = np.diff(theta, append=theta[:1])
+        inc = (inc + math.pi) % TWO_PI - math.pi
+        if inc.size and np.max(np.abs(inc)) >= math.pi / 2.0:
+            return None
+        total = float(np.sum(inc) / TWO_PI)
+        w = round(total)
+        if abs(total - w) > 1e-6:
+            return None
+        out[c] = w
+    return out
+
+
+def test_windings_one_pass_matches_per_center(rng):
+    """All centers in one array pass classify exactly as one at a time,
+    including loops where one center fails and the empty center list."""
+    saw_none = saw_winding = False
+    for _ in range(40):
+        traj = random_trajectory(rng, dim=2, N=5, scale=2.0)
+        pts = SineGrid.uniform(traj, int(rng.integers(16, 400)),
+                               velocity=False).z(traj.coeffs)
+        centers = [tuple(rng.uniform(-2.0, 2.0, size=2))
+                   for _ in range(int(rng.integers(1, 5)))]
+        got = windings_of_closed_points(pts, centers)
+        assert got == _windings_per_center(pts, centers)
+        saw_none |= got is None
+        saw_winding |= got is not None and any(got.values())
+        assert windings_of_closed_points(pts, []) == {}
+        # a center halfway along one edge of the polygon sees an angle
+        # increment of pi: that center fails, so the whole call does
+        i = int(rng.integers(len(pts)))
+        bad = centers + [tuple(0.5 * (pts[i] + pts[(i + 1) % len(pts)]))]
+        assert windings_of_closed_points(pts, bad) is None
+        assert _windings_per_center(pts, bad) is None
+    assert saw_none and saw_winding
+
+
+def test_distance_profile_and_signature_memoized_per_trajectory(
+        monkeypatch):
+    """min_distance_to and winding_signature share one distance profile
+    per (singular set, grid size), a signature is kept per (singular set,
+    M), and memoized results equal those of a fresh trajectory with equal
+    coefficients."""
+    s = singular_set(builtin("two_centers"))
+    coeffs = seed_curve(2, s, TWO_PI, 24).coeffs
+    traj = FourierTrajectory(TWO_PI, (), coeffs)
+    fresh = FourierTrajectory(TWO_PI, (), coeffs)
+    builds = count_builds(monkeypatch)
+
+    def built():
+        return [(kind, M) for kind, _, M in builds]
+
+    d = min_distance_to(traj, s)
+    sig = winding_signature(traj, s)  # M = 16 N = 384, profile on 1024
+    assert built() == [("profile", 1024), ("signature", 384)]
+    assert min_distance_to(traj, s) == d
+    assert winding_signature(traj, s) is sig
+    assert len(builds) == 2
+    # another grid size or singular set is another entry
+    other = SingularSet(base=((0.5, 0.5),), m=2, n=0)
+    min_distance_to(traj, s, M=2048)
+    fine = winding_signature(traj, s, M=2048)  # reuses the 2048 profile
+    min_distance_to(traj, other)
+    sig_other = winding_signature(traj, other)
+    assert built()[2:] == [("profile", 2048), ("signature", 2048),
+                           ("profile", 1024), ("signature", 384)]
+    assert fine is not sig
+    assert min_distance_to(fresh, s) == d
+    assert winding_signature(fresh, s) == sig
+    assert winding_signature(fresh, s, M=2048) == fine
+    assert min_distance_to(fresh, other) == min_distance_to(traj, other)
+    assert winding_signature(fresh, other) == sig_other
+
+
+def test_trajectory_coefficients_are_read_only():
+    traj = FourierTrajectory(TWO_PI, (), [[1.0, 0.0]])
+    with pytest.raises(ValueError):
+        traj.coeffs[0, 0] = 2.0
+    assert traj != FourierTrajectory(TWO_PI, (), [[1.0, 0.0]])  # eq=False

@@ -9,8 +9,9 @@ import pytest
 from minact import expr as ex
 from minact.model import (Constraint, GrowthConstants, ModelSpec, SingularSet,
                           builtin, singular_set)
-from minact.trajectory import FourierTrajectory, h1_seminorm, min_distance_to
-from minact.action import LagrangianTerms, action_gradient
+from minact.trajectory import FourierTrajectory, h1_seminorm, \
+    min_distance_to, seed_curve, winding_signature
+from minact.action import LagrangianTerms, action_gradient, action_report
 from minact.optimize import SolveOptions, minimize, solve_in_class
 from minact.verify import (SamplerOptions, VerifyError, check_hypotheses,
                            el_residual, energy_drift, holder_seminorm,
@@ -18,8 +19,8 @@ from minact.verify import (SamplerOptions, VerifyError, check_hypotheses,
                            _el_residual_values)
 from minact.trajectory import sample
 
-from conftest import (constrained_planar_model, free_drift_model,
-                      harmonic_model, random_trajectory)
+from conftest import (constrained_planar_model, count_builds,
+                      free_drift_model, harmonic_model, random_trajectory)
 
 TWO_PI = 2.0 * math.pi
 
@@ -499,3 +500,36 @@ def test_holder_sine_value():
     got = holder_seminorm(traj, 512)
     assert abs(got - 1.2038) < 2e-3, f"holder = {got}"
     assert got <= h1_seminorm(traj) + 1e-12  # h1 = sqrt(pi)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_certificate_builds_one_distance_profile(monkeypatch, N):
+    """For N <= 64 the action report, the winding signature and the
+    residual report of one trajectory share one distance profile."""
+    model = builtin("two_centers")
+    s = singular_set(model)
+    coeffs = seed_curve(1, s, model.omega, N).coeffs
+    traj = FourierTrajectory(model.omega, (), coeffs)
+    builds = count_builds(monkeypatch)
+    report = action_report(model, traj, 8 * N)
+    sig = winding_signature(traj, s, M=max(16 * N, 64))
+    rep = el_residual(model, traj, 8 * N)
+    assert [t for kind, t, _ in builds if kind == "profile"] == [traj]
+    fresh = FourierTrajectory(model.omega, (), coeffs)
+    assert report == action_report(model, fresh, 8 * N)
+    assert sig == winding_signature(fresh, s, M=max(16 * N, 64))
+    assert rep.to_dict() == el_residual(model, fresh, 8 * N).to_dict()
+
+
+def test_homotopy_builds_one_profile_per_loop(monkeypatch):
+    """The clearance check and the winding signatures of each loop share
+    one distance profile."""
+    s = singular_set(builtin("two_centers"))
+    fig8 = FourierTrajectory(TWO_PI, (), [[2.0, 0.0], [0.0, 1.0]])
+    near = FourierTrajectory(TWO_PI, (), [[2.0, 0.001], [0.0008, 1.0]])
+    delta = 0.8 * min_distance_to(
+        FourierTrajectory(TWO_PI, (), fig8.coeffs), s)
+    builds = count_builds(monkeypatch)
+    assert homotopy_equiv_sufficient(fig8, near, s, delta) == "Homotopic"
+    profiles = [t for kind, t, _ in builds if kind == "profile"]
+    assert profiles == [fig8, near]

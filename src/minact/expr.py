@@ -16,9 +16,8 @@ Evaluation refuses to return non-finite numbers silently: division by zero,
 log or sqrt of a nonpositive argument, and overflow raise EvalDomainError
 carrying the offending subtree.
 
-evaluate walks one tree.  compile hash-conses many trees into one Tape that
-computes every distinct subtree once per node array, with the same kernels
-and domain checks.
+compile hash-conses many trees into one Tape that computes every distinct
+subtree once per node array; evaluate is the Tape of a single tree.
 """
 
 from __future__ import annotations
@@ -429,60 +428,24 @@ def parse(text: str, dim: int) -> Expr:
 def evaluate(e: Expr, t, z):
     """Evaluate a tree at time(s) t and coordinate value(s) z.
 
-    Parameters
-    ----------
-    e : Expr
-    t : float or ndarray of shape (M,)
-    z : sequence of dim floats, or ndarray of shape (M, dim)
-
-    Returns
-    -------
-    float or ndarray
-        Scalar for scalar input, array of shape (M,) for node arrays.
-
-    Raises
-    ------
-    EvalDomainError
-        If any node divides by zero, takes log or sqrt outside the domain,
-        raises 0 to a negative power, a negative base to a fractional power,
-        or overflows to a non-finite value.
+    t is a float or an (M,) array, z dim floats or an (M, dim) array; the
+    result is a float for scalar input and an (M,) array for node arrays.
+    This is the tape of one root, compile([e]).run(t, z).  Raises
+    EvalDomainError, naming the subtree, if any node divides by zero,
+    takes log or sqrt outside the domain, raises 0 to a negative power or
+    a negative base to a fractional power, or overflows.
     """
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=float)
     if t.ndim == 0 and z.ndim == 2:
         t = np.full(z.shape[0], float(t))
-    out = _ev(e, t, z)
-    if t.ndim == 0:
-        return float(np.asarray(out))
-    return _nodes_result(out, t)
-
-
-def _nodes_result(out, t) -> np.ndarray:
-    if np.ndim(out) == 0:
-        return np.full(t.shape, float(out))
-    return np.asarray(out, dtype=float)
-
-
-def _ev(e: Expr, t, z):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.index == 0:
-            return t
-        return z[..., e.index - 1]
-    if isinstance(e, Unary):
-        return _UNARY.get(e.op, _unknown_op)(e, _ev(e.arg, t, z))
-    if isinstance(e, Binary):
-        return _BINARY.get(e.op, _unknown_op)(e, _ev(e.lhs, t, z),
-                                              _ev(e.rhs, t, z))
-    if isinstance(e, Power):
-        return _power(e, _ev(e.base, t, z))
-    raise TypeError(f"not an expression node: {e!r}")
+    (out,) = compile([e]).run(t, z)
+    return float(out) if t.ndim == 0 else out
 
 
 # Evaluation kernels: the value of node e from the values of its children.
-# Both the tree walk (_ev) and compiled tapes (Tape) call these, so the two
-# compute every node with the same operations and the same domain checks.
+# Every tape instruction calls one of these, so every node is computed with
+# the same operations and the same domain checks wherever it appears.
 
 
 def _exp(e, a):
@@ -562,13 +525,13 @@ class Tape:
     """Trees hash-consed into one DAG, run as a topologically ordered list.
 
     Build with compile(roots).  Every distinct subtree is one slot; run
-    computes each slot once per node array, children before parents, with
-    the kernels of evaluate, so every root comes out bit-identical to
-    evaluate(root, t, z) and a domain error names the same subtree with
-    the same message.  The instructions run in the order in which a
-    tree-by-tree evaluation of the roots first reaches each subtree, so
-    where several subtrees leave their domain, the one evaluate would
-    report first is the one raised.
+    computes each slot once per node array, children before parents, so
+    every root comes out bit-identical to evaluate(root, t, z), its tape
+    of its own, and a domain error names the same subtree with the same
+    message.  The instructions run in the order in which a tree-by-tree
+    evaluation of the roots first reaches each subtree, so where several
+    subtrees leave their domain, the one evaluating the roots one by one
+    would report first is the one raised.
     """
 
     def __init__(self, nodes, args, roots):
@@ -628,7 +591,8 @@ class Tape:
         evaluate(root, t, z); raises EvalDomainError as evaluate would.
         """
         t = np.asarray(t, dtype=float)
-        return [_nodes_result(v, t) for v in self._values(t, z)]
+        return [np.full(t.shape, float(v)) if np.ndim(v) == 0
+                else np.asarray(v, dtype=float) for v in self._values(t, z)]
 
     def _values(self, t, z) -> list:
         """As run, but a root that depends on neither t nor z is left a

@@ -323,7 +323,8 @@ def winding_signature(traj: FourierTrajectory, s: SingularSet,
 
     Windings are computed only when m = 2, n = 0 (closed planar curves);
     the angle-increment criterion max |dtheta| < pi/2 is enforced for all
-    centers together by doubling the sample count up to a cap.
+    centers together by doubling the sample count up to a cap; a curve
+    whose clearance is zero to rounding is refused before any doubling.
     min_distance and the clearance integral are computed for any
     dimensions.  Computed once per (s, M) for a trajectory, so repeated
     calls return the same object.
@@ -340,15 +341,22 @@ def _compute_signature(traj: FourierTrajectory, s: SingularSet,
     if s.is_empty():
         return HomotopySignature(windings={}, min_distance=math.inf,
                                  clearance_integral=0.0)
+    pts, d, dist = _distance_profile(traj, s, max(M, 1024))
     windings = {}
     if s.m == 2 and s.n == 0 and traj.dim == 2:
-        cap = max(M * 256, 1 << 20)
         centers = enumerate_planar(s)
+        # zero clearance to rounding (the golden-section brackets end near
+        # 1e-10 of the curve's size): no grid size can classify the curve
+        if dist <= 1e-9 * float(np.max(np.abs(pts))):
+            raise WindingRefinementError(
+                f"cannot classify the windings around {centers}: the curve "
+                f"passes through the singular set (clearance {dist:.3e})")
+        cap = max(M * 256, 1 << 20)
         level = M
         while True:
-            pts = SineGrid.uniform(traj, level, velocity=False) \
+            loop = SineGrid.uniform(traj, level, velocity=False) \
                 .z(traj.coeffs)
-            windings = windings_of_closed_points(pts, centers)
+            windings = windings_of_closed_points(loop, centers)
             if windings is not None:
                 break
             if level >= cap:
@@ -356,7 +364,6 @@ def _compute_signature(traj: FourierTrajectory, s: SingularSet,
                     f"cannot classify the windings around {centers}: "
                     f"angle increments stay >= pi/2 at M = {level}")
             level *= 2
-    pts, d, dist = _distance_profile(traj, s, max(M, 1024))
     # clearance integral against the fixed singular point nearest to the
     # curve, by the same uniform quadrature the action uses
     _, witness = nearest_singular(s, pts[int(np.argmin(d))])

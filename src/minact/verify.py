@@ -22,7 +22,7 @@ import numpy as np
 from . import expr as ex
 from .action import LagrangianTerms, coercivity_margin
 from .model import ModelSpec, SingularSet, is_autonomous, \
-    nearest_distances, nearest_singular, singular_set
+    nearest_distances, singular_set
 from .trajectory import FourierTrajectory, evaluate_path, \
     min_distance_to, sample, winding_signature
 
@@ -150,32 +150,61 @@ def _parity_ok(f, t, z, declared=None):
     return False, wit
 
 
-def _refine_feasible(terms: LagrangianTerms, t: float, z0: np.ndarray,
-                     max_iters: int = 60, tol: float = 1e-11):
-    """Gauss-Newton projection of z0 onto {f_j(t, .) = 0}."""
-    z = z0.astype(float).copy()
-    lcount = len(terms.f)
+def _by_rows(run, t, z, shape):
+    """run(t, z) on all rows at once; after a domain error, row by row.
+
+    Returns (values (K, *shape), ok (K,)).  A row that leaves the domain
+    on its own has ok False and zero values.
+    """
+    try:
+        return run(t, z), np.ones(len(t), dtype=bool)
+    except ex.EvalDomainError:
+        pass
+    values = np.zeros((len(t),) + shape)
+    ok = np.ones(len(t), dtype=bool)
+    for i in range(len(t)):
+        try:
+            values[i] = run(t[i:i + 1], z[i:i + 1])[0]
+        except ex.EvalDomainError:
+            ok[i] = False
+    return values, ok
+
+
+def _project_feasible(terms: LagrangianTerms, t: np.ndarray, z0: np.ndarray,
+                      max_iters: int = 60, tol: float = 1e-11):
+    """Gauss-Newton projection of each row z0[i] onto {f_j(t[i], .) = 0}.
+
+    All rows step together: one constraint run and one Jacobian run on
+    the rows still active per iteration, and the min-norm step
+    pinv(J) @ -F capped at unit length.  A row is feasible once
+    max|F| <= tol; it drops out as infeasible when F or J leaves the
+    domain or is not finite there, or after max_iters steps.  A converged
+    row never evaluates the Jacobian, whose domain can be narrower.
+    Returns (z (K, dim), feasible (K,)).
+    """
+    z = z0.astype(float)
+    l, dim = len(terms.f), terms.dim
+    feasible = np.zeros(len(t), dtype=bool)
+    active = np.arange(len(t))
     for _ in range(max_iters):
-        try:
-            F = np.array([ex.evaluate(fj, t, z) for fj in terms.f])
-        except ex.EvalDomainError:
-            return z, False
-        if np.max(np.abs(F)) <= tol:
-            return z, True
-        try:
-            J = np.array([[ex.evaluate(terms.df[j][d], t, z)
-                           for d in range(terms.dim)]
-                          for j in range(lcount)])
-        except ex.EvalDomainError:
-            return z, False
-        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(J))):
-            return z, False
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        norm = float(np.linalg.norm(step))
-        if norm > 1.0:
-            step = step / norm  # trust region: unit-length cap
-        z = z + step
-    return z, False
+        if active.size == 0:
+            break
+        ta, za = t[active], z[active]
+        F, ok = _by_rows(terms.constraints_at, ta, za, (l,))
+        done = ok & (np.max(np.abs(F), axis=1) <= tol)
+        feasible[active[done]] = True
+        keep = ok & ~done
+        active, ta, za, F = active[keep], ta[keep], za[keep], F[keep]
+        J, ok = _by_rows(terms.constraint_jacobian_at, ta, za, (l, dim))
+        ok &= np.all(np.isfinite(F), axis=1)
+        ok &= np.all(np.isfinite(J), axis=(1, 2))
+        active, za, F, J = active[ok], za[ok], F[ok], J[ok]
+        step = (np.linalg.pinv(J) @ -F[..., None])[..., 0]
+        norm = np.linalg.norm(step, axis=1)
+        big = norm > 1.0
+        step[big] /= norm[big, None]  # trust region: unit-length cap
+        z[active] = za + step
+    return z, feasible
 
 
 def check_hypotheses(model: ModelSpec,
@@ -205,31 +234,21 @@ def check_hypotheses(model: ModelSpec,
     warnings: list = []
     violated: list = []
 
-    def note_parity(name, ok, wit):
-        parity_ok[name] = ok
-        if not ok:
-            witnesses["parity:" + name] = wit
+    def note_parity(name, trees, declared=None):
+        # the first tree that fails the parity test is the witness
+        for f in trees:
+            ok, wit = _parity_ok(f, t, z, declared)
+            if not ok:
+                parity_ok[name] = False
+                witnesses["parity:" + name] = wit
+                return
+        parity_ok[name] = True
 
-    g_ok = True
-    g_wit = None
-    for i in range(dim):
-        for j in range(dim):
-            ok, wit = _parity_ok(model.metric[i][j], t, z)
-            if not ok and g_ok:
-                g_ok, g_wit = False, wit
-    note_parity("g", g_ok, g_wit)
-    a_ok = True
-    a_wit = None
-    for i in range(dim):
-        ok, wit = _parity_ok(model.gyro[i], t, z)
-        if not ok and a_ok:
-            a_ok, a_wit = False, wit
-    note_parity("a", a_ok, a_wit)
-    ok, wit = _parity_ok(model.potential, t, z)
-    note_parity("V", ok, wit)
+    note_parity("g", [e for row in model.metric for e in row])
+    note_parity("a", model.gyro)
+    note_parity("V", [model.potential])
     for ci, c in enumerate(model.constraints):
-        ok, wit = _parity_ok(c.f, t, z, c.parity)
-        note_parity(f"constraint[{ci}]", ok, wit)
+        note_parity(f"constraint[{ci}]", [c.f], c.parity)
 
     # metric lower bound on random unit directions
     bound_g_ok = True
@@ -291,32 +310,26 @@ def check_hypotheses(model: ModelSpec,
     rank_min_sv = math.inf
     l = len(model.constraints)
     if l > 0:
-        found = 0
-        worst = math.inf
-        for i in range(len(t)):
-            zf, feasible = _refine_feasible(terms, float(t[i]), z[i])
-            if not feasible:
-                continue
-            if not s.is_empty():
-                dist, _ = nearest_singular(s, tuple(zf))
-                if dist <= 1e-6:
-                    continue
-            found += 1
-            J = np.array([[ex.evaluate(terms.df[j][d], float(t[i]), zf)
-                           for d in range(dim)] for j in range(l)])
-            sv = np.linalg.svd(J, compute_uv=False)
-            rank_tol = 1e-8 * (sv[0] if sv[0] > 0 else 1.0)
-            worst = min(worst, float(sv[-1]))
-            if len(sv) < l or sv[-1] <= rank_tol:
-                rank_ok = False
-                witnesses["rank"] = {
-                    "t": float(t[i]), "z": zf.copy(),
-                    "singular_values": sv.copy()}
-        if found == 0:
+        zf, feasible = _project_feasible(terms, t, z)
+        if not s.is_empty():
+            feasible[feasible] = nearest_distances(s, zf[feasible]) > 1e-6
+        idx = np.flatnonzero(feasible)
+        if idx.size == 0:
             warnings.append(
                 "no feasible constraint points found; rank check skipped")
         else:
-            rank_min_sv = worst
+            J = terms.constraint_jacobian_at(t[idx], zf[idx])
+            sv = np.linalg.svd(J, compute_uv=False)  # (found, min(l, dim))
+            top = sv[:, 0]
+            rank_tol = 1e-8 * np.where(top > 0, top, 1.0)
+            bad = (sv[:, -1] <= rank_tol) | (sv.shape[1] < l)
+            rank_min_sv = float(np.min(sv[:, -1]))
+            if np.any(bad):
+                rank_ok = False
+                i = int(np.argmax(bad))
+                witnesses["rank"] = {
+                    "t": float(t[idx[i]]), "z": zf[idx[i]].copy(),
+                    "singular_values": sv[i].copy()}
     margin = coercivity_margin(k, model.omega)
 
     if not all(parity_ok.values()):

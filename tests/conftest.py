@@ -81,6 +81,70 @@ def count_builds(monkeypatch):
     return built
 
 
+def reference_evaluate(e, t, z):
+    """Tree-walk evaluation of one tree: the reference for compiled tapes.
+
+    Visits every node, shared subtrees once per occurrence, with the
+    kernels of minact.expr; takes and returns what ex.evaluate does and
+    raises the same EvalDomainError.
+    """
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if t.ndim == 0 and z.ndim == 2:
+        t = np.full(z.shape[0], float(t))
+    out = _walk(e, t, z)
+    if t.ndim == 0:
+        return float(np.asarray(out))
+    if np.ndim(out) == 0:
+        return np.full(t.shape, float(out))
+    return np.asarray(out, dtype=float)
+
+
+def _walk(e, t, z):
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Var):
+        return t if e.index == 0 else z[..., e.index - 1]
+    if isinstance(e, ex.Unary):
+        return ex._UNARY.get(e.op, ex._unknown_op)(e, _walk(e.arg, t, z))
+    if isinstance(e, ex.Binary):
+        return ex._BINARY.get(e.op, ex._unknown_op)(
+            e, _walk(e.lhs, t, z), _walk(e.rhs, t, z))
+    if isinstance(e, ex.Power):
+        return ex._power(e, _walk(e.base, t, z))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def reference_refine_feasible(terms, t, z0, max_iters=60, tol=1e-11):
+    """Gauss-Newton projection of one point z0 onto {f_j(t, .) = 0}.
+
+    The per-sample reference for verify's batched projection: scalar
+    tree walks, a least-squares step capped at unit length, and the same
+    rules for convergence and failure.  Returns (z, feasible).
+    """
+    z = np.asarray(z0, dtype=float).copy()
+    for _ in range(max_iters):
+        try:
+            F = np.array([reference_evaluate(fj, t, z) for fj in terms.f])
+        except ex.EvalDomainError:
+            return z, False
+        if np.max(np.abs(F)) <= tol:
+            return z, True
+        try:
+            J = np.array([[reference_evaluate(dfd, t, z) for dfd in row]
+                          for row in terms.df])
+        except ex.EvalDomainError:
+            return z, False
+        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(J))):
+            return z, False
+        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        norm = float(np.linalg.norm(step))
+        if norm > 1.0:
+            step = step / norm
+        z = z + step
+    return z, False
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

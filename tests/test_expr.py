@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from minact import expr as ex
+from conftest import reference_evaluate
 
 
 def test_parse_power_and_sin():
@@ -219,18 +220,42 @@ def test_tape_matches_evaluate_on_random_trees():
     z = rng.normal(size=(50, 2))
     tape = ex.compile(roots)
     for e, got in zip(roots, tape.run(t, z)):
+        assert np.array_equal(got, reference_evaluate(e, t, z)), \
+            ex.to_text(e)
         assert np.array_equal(got, ex.evaluate(e, t, z)), ex.to_text(e)
     # shared subtrees are computed once
     assert len(tape) < sum(len(ex.compile([e])) for e in roots)
 
 
+def test_evaluate_is_the_tree_walk_on_scalars_and_errors():
+    """evaluate, a one-root tape, equals the tree walk at scalar points and
+    names the same subtree with the same message when it fails."""
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        e = _random_expr(rng, 4)
+        t0, z0 = float(rng.normal()), rng.normal(size=2)
+        got = ex.evaluate(e, t0, z0)
+        assert isinstance(got, float)
+        assert got == reference_evaluate(e, t0, z0), ex.to_text(e)
+    for text, z0 in (("z2 + log(z1)*sqrt(z2)", [-1.0, 3.0]),
+                     ("z2/(z1 - 1)", [1.0, 2.0]),
+                     ("sin(t) + (z1 - z2)^0.5", [0.0, 1.0])):
+        e = ex.parse(text, 2)
+        with pytest.raises(ex.EvalDomainError) as want:
+            reference_evaluate(e, 0.5, z0)
+        with pytest.raises(ex.EvalDomainError) as got:
+            ex.evaluate(e, 0.5, z0)
+        assert got.value.node == want.value.node
+        assert str(got.value) == str(want.value)
+
+
 def test_tape_domain_error_matches_evaluate():
-    """A failing instruction raises what evaluate raises on its tree."""
+    """A failing instruction raises what a tree walk raises on its tree."""
     t = np.zeros(3)
     z = np.array([[1.0, 1.0], [0.0, 2.0], [-1.0, 3.0]])
     e = ex.parse("z2 + log(z1)*sqrt(z2)", 2)
     with pytest.raises(ex.EvalDomainError) as want:
-        ex.evaluate(e, t, z)
+        reference_evaluate(e, t, z)
     with pytest.raises(ex.EvalDomainError) as got:
         ex.compile([ex.parse("z2^2", 2), e]).run(t, z)
     assert got.value.node == want.value.node == ex.parse("log(z1)", 2)
@@ -265,4 +290,4 @@ def test_tape_keeps_signed_zeros_apart():
     assert not np.any(np.signbit(got_pos))
     assert np.all(np.signbit(got_neg))
     assert np.array_equal(np.signbit(got_neg),
-                          np.signbit(ex.evaluate(neg, np.zeros(2), z)))
+                          np.signbit(reference_evaluate(neg, np.zeros(2), z)))

@@ -216,15 +216,56 @@ def test_min_distance_matches_scalar_refinement(rng):
         assert abs(min_distance_to(traj, lattice) - ref) <= 1e-12 * ref
 
 
-def test_winding_signature_point_on_curve_cannot_be_classified():
-    """A singular point on the figure-eight keeps an angle increment near
-    pi at every refinement level, so classification gives up at the cap."""
+def _figure_eight():
     coeffs = np.zeros((4, 2))
     coeffs[0, 0], coeffs[1, 1] = 2.0, 1.0  # (2 sin t, sin 2t)
-    traj = FourierTrajectory(TWO_PI, (), coeffs)
+    return FourierTrajectory(TWO_PI, (), coeffs)
+
+
+def _count_winding_grids(monkeypatch):
+    """Record the size of every grid windings_of_closed_points classifies."""
+    import minact.trajectory as trajectory_module
+    sizes = []
+    original = trajectory_module.windings_of_closed_points
+
+    def counted(points, centers):
+        sizes.append(len(points))
+        return original(points, centers)
+
+    monkeypatch.setattr(trajectory_module, "windings_of_closed_points",
+                        counted)
+    return sizes
+
+
+def test_winding_signature_point_on_curve_cannot_be_classified(monkeypatch):
+    """A singular point on the figure-eight keeps an angle increment near
+    pi at every refinement level.  The zero clearance shows in the distance
+    profile, so the refusal comes before any winding grid is sampled."""
+    sizes = _count_winding_grids(monkeypatch)
+    traj = _figure_eight()
     on_curve = tuple(evaluate_path(traj, [1.0])[0])
     with pytest.raises(WindingRefinementError):
         winding_signature(traj, SingularSet(base=(on_curve,), m=2, n=0))
+    assert sizes == []
+
+
+def test_winding_signature_small_clearance_refines_and_classifies(
+        monkeypatch):
+    """Points 1e-3 off the figure-eight, one on each side of it, are
+    classified after refinement, and their windings differ by one."""
+    sizes = _count_winding_grids(monkeypatch)
+    traj = _figure_eight()
+    point = evaluate_path(traj, [1.0])[0]
+    tangent = np.array([2.0 * math.cos(1.0), 2.0 * math.cos(2.0)])
+    normal = np.array([-tangent[1], tangent[0]]) / np.linalg.norm(tangent)
+    windings = []
+    for side in (1.0, -1.0):
+        center = tuple(point + side * 1e-3 * normal)
+        sig = winding_signature(traj, SingularSet(base=(center,), m=2, n=0))
+        assert abs(sig.min_distance - 1e-3) < 1e-5, sig.min_distance
+        windings.append(sig.windings[center])
+    assert abs(windings[0] - windings[1]) == 1, windings
+    assert max(sizes) > min(sizes)  # the grid was refined
 
 
 def test_min_distance_empty_set():

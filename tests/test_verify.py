@@ -16,11 +16,13 @@ from minact.optimize import SolveOptions, minimize, solve_in_class
 from minact.verify import (SamplerOptions, VerifyError, check_hypotheses,
                            el_residual, energy_drift, holder_seminorm,
                            homotopy_equiv_sufficient, recover_multipliers,
-                           _el_residual_values)
+                           _draw_samples, _el_residual_values,
+                           _project_feasible)
 from minact.trajectory import sample
 
 from conftest import (constrained_planar_model, count_builds,
-                      free_drift_model, harmonic_model, random_trajectory)
+                      free_drift_model, harmonic_model, random_trajectory,
+                      reference_refine_feasible)
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,14 +130,72 @@ def test_hypotheses_metric_bound_falsified():
 
 
 def test_hypotheses_rank_deficiency_falsified():
-    """Two proportional constraint gradients fail the rank condition."""
+    """Two proportional constraint gradients fail the rank condition; every
+    feasible point fails, so the witness is the first sample, projected."""
     model = flat_model(m=3, constraints=(Constraint(ex.parse("z1", 3), "odd"),
                                          Constraint(ex.parse("2*z1", 3), "odd")))
     rep = check_hypotheses(model)
     assert rep.violated == [
         "condition 4 (constraint rank): rank deficient at a feasible point"]
     assert rep.rank_min_sv == 0.0, f"rank_min_sv = {rep.rank_min_sv}"
-    assert "rank" in rep.witnesses
+    t, z = _draw_samples(model, SamplerOptions())
+    wit = rep.witnesses["rank"]
+    assert wit["t"] == t[0]
+    assert np.allclose(wit["z"], [0.0, z[0, 1], z[0, 2]], rtol=0, atol=1e-12)
+
+
+_PROJECTION_CASES = {
+    "constrained_oscillator": (constrained_planar_model(), 2000),
+    "circle": (flat_model(constraints=(
+        Constraint(ex.parse("z1^2 + z2^2 - 4", 2), "even"),)), 200),
+    "partial_domain": (flat_model(constraints=(
+        Constraint(ex.parse("sqrt(z1) - 1", 2), "even"),)), 200),
+    "proportional_pair": (flat_model(m=3, constraints=(
+        Constraint(ex.parse("z1", 3), "odd"),
+        Constraint(ex.parse("2*z1", 3), "odd"))), 200),
+    # the gradient z1/sqrt(z1^2) divides by zero on the zero set itself,
+    # so a converged row must not evaluate it
+    "gradient_undefined_on_zero_set": (flat_model(constraints=(
+        Constraint(ex.parse("sqrt(z1^2)", 2), "even"),)), 200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROJECTION_CASES))
+def test_batched_projection_matches_per_sample_reference(name):
+    """All samples projected at once land where one-by-one Gauss-Newton
+    lands, with the same feasibility verdict per sample."""
+    model, count = _PROJECTION_CASES[name]
+    terms = LagrangianTerms(model)
+    t, z = _draw_samples(model, SamplerOptions(count=count))
+    got, feasible = _project_feasible(terms, t, z)
+    for i in range(count):
+        want, ok = reference_refine_feasible(terms, float(t[i]), z[i])
+        assert feasible[i] == ok, (i, z[i])
+        assert np.allclose(got[i], want, rtol=0, atol=1e-12), (i, z[i])
+    assert 0 < np.sum(feasible)
+    if name == "partial_domain":
+        assert not np.all(feasible)  # rows with z1 < 0 leave the domain
+
+
+def test_projection_runs_are_independent_of_sample_count(monkeypatch):
+    """The constraint check makes at most two tape runs per Gauss-Newton
+    iteration and one for the rank, however many samples it projects."""
+    runs = []
+    original = LagrangianTerms.fields
+
+    def counted(self, t, z, kind="objective"):
+        if kind in ("constraints", "constraint_jacobian"):
+            runs.append(len(t))
+        return original(self, t, z, kind)
+
+    monkeypatch.setattr(LagrangianTerms, "fields", counted)
+    model = constrained_planar_model()
+    for count in (200, 2000):
+        runs.clear()
+        rep = check_hypotheses(model, SamplerOptions(count=count))
+        assert rep.rank_ok
+        assert 0 < len(runs) <= 2 * 60 + 1
+        assert max(runs) == count
 
 
 def test_hypotheses_infeasible_constraint_warns():

@@ -134,6 +134,11 @@ class LagrangianTerms:
                    for c in model.constraints]
         self.dtf = [ex.differentiate(c.f, 0) for c in model.constraints]
         self._kinds = self._compile()
+        # all-Const-0 groups (no gyro, a constant metric): L, dL skip them
+        self.zero = {g for g, trees in (
+            ("a", self.a), ("dG", [e for m in self.dg for r in m for e in r]),
+            ("da", [e for r in self.da for e in r]))
+            if all(e == ex.ZERO for e in trees)}
 
     def _compile(self) -> dict:
         """kind -> (tape, (group, places) per root, groups it fills).
@@ -221,24 +226,31 @@ class LagrangianTerms:
         return self.fields(t, z, "potential").V
 
     def lagrangian_at(self, path: SampledPath, fields: Fields) -> np.ndarray:
-        """L at the nodes, from fields holding G, a and V."""
-        G, a, V = fields.G, fields.a, fields.V
-        kinetic = 0.5 * np.einsum("mij,mi,mj->m", G, path.dz, path.dz)
-        return kinetic + np.einsum("mi,mi->m", a, path.dz) - V
+        """L at the nodes, from fields holding G, a and V; terms of the
+        groups in self.zero are skipped (the sign of a zero may change)."""
+        dz = path.dz
+        L = 0.5 * np.einsum("mij,mi,mj->m", fields.G, dz, dz)
+        if "a" not in self.zero:
+            L = L + np.einsum("mi,mi->m", fields.a, dz)
+        return L - fields.V
 
     def dL_fields(self, path: SampledPath, fields: Fields):
         """(dL/dz^d, dL/ddz^d) at the nodes, each of shape (M, dim).
 
-        fields must hold G, a, dG, da and dV.
+        fields must hold G, a, dG, da and dV; self.zero as in lagrangian_at.
         """
         dz = path.dz
-        dLdv = np.einsum("mij,mj->mi", fields.G, dz) + fields.a
+        dLdv = np.einsum("mij,mj->mi", fields.G, dz)
+        if "a" not in self.zero:
+            dLdv = dLdv + fields.a
         dLdz = np.empty((len(path.t), self.dim))
         for d in range(self.dim):
-            dLdz[:, d] = (0.5 * np.einsum("mij,mi,mj->m", fields.dG[d], dz,
-                                          dz)
-                          + np.einsum("mi,mi->m", fields.da[d], dz)
-                          - fields.dV[:, d])
+            acc = 0.0
+            if "dG" not in self.zero:
+                acc = 0.5 * np.einsum("mij,mi,mj->m", fields.dG[d], dz, dz)
+            if "da" not in self.zero:
+                acc = acc + np.einsum("mi,mi->m", fields.da[d], dz)
+            dLdz[:, d] = acc - fields.dV[:, d]
         return dLdz, dLdv
 
     def constraints_at(self, t, z) -> np.ndarray:

@@ -250,28 +250,31 @@ def _nearest(s: SingularSet, points: np.ndarray, witness: bool):
     """Distances from points (M, dim) to the full singular set.
 
     Returns (distances, witnesses); witnesses (M, dim) holds the attaining
-    singular point of each row, including its 2*pi lattice shift, and is
-    None unless asked for.  The lattice minimization is exact: the squared
-    distance separates per angle coordinate, so the optimal shift is
-    round((phi - phi_s)/(2*pi)) coordinatewise.
+    singular point of each row (the first in enumerate_planar order on a
+    tie), including its 2*pi lattice shift, and is None unless asked for.
+    The lattice minimization is exact: the squared distance separates per
+    angle coordinate, so the optimal shift is round((phi - phi_s)/(2*pi))
+    coordinatewise.  Squares are summed coordinate by coordinate, which is
+    np.linalg.norm's order for fewer than 8 coordinates.
     """
-    best = np.full(points.shape[0], np.inf)
-    near = np.empty(points.shape) if witness else None
-    for q in s.base:
-        for sign in (1.0, -1.0):
-            cand = sign * np.asarray(q)
-            diff = points - cand
-            if s.n:
-                ang = diff[:, s.m:]
-                shift = TWO_PI * np.round(ang / TWO_PI)
-                diff[:, s.m:] = ang - shift
-            d = np.linalg.norm(diff, axis=1)
-            if witness:
-                closer = d < best
-                near[closer] = cand
-                if s.n:
-                    near[closer, s.m:] += shift[closer]
-            np.minimum(best, d, out=best)
+    cands = np.array(enumerate_planar(s)).reshape(-1, s.dim)  # (K, dim)
+    sq = np.zeros((len(cands), points.shape[0]))
+    shifts = []
+    for j in range(s.dim):
+        diff = points[:, j] - cands[:, j, None]  # (K, M)
+        if j >= s.m:
+            shift = TWO_PI * np.round(diff / TWO_PI)
+            diff -= shift
+            shifts.append(shift)
+        sq += diff * diff
+    d = np.sqrt(sq)
+    best = np.min(d, axis=0, initial=np.inf)  # inf for an empty set
+    if not witness:
+        return best, None
+    k = np.argmin(d, axis=0)
+    near = cands[k]
+    for j, shift in enumerate(shifts, start=s.m):
+        near[:, j] += shift[k, np.arange(len(k))]
     return best, near
 
 
@@ -292,10 +295,7 @@ def nearest_singular(s: SingularSet, point):
 
 def nearest_distances(s: SingularSet, points: np.ndarray) -> np.ndarray:
     """Vectorized nearest-singular distances for points of shape (M, dim)."""
-    points = np.asarray(points, dtype=float)
-    if s.is_empty():
-        return np.full(points.shape[0], np.inf)
-    return _nearest(s, points, witness=False)[0]
+    return _nearest(s, np.asarray(points, dtype=float), witness=False)[0]
 
 
 def is_autonomous(model: ModelSpec) -> bool:

@@ -15,12 +15,17 @@ singular barrier, and the guards restore that topology for the discrete
 one.  Divergence is declared against the a priori coercivity radius when
 the margin is positive, and against runaway norm growth otherwise.
 
+Most winding checks are certified: the accepted iterate's curve stays
+r_b = d_b - (h/2) V_b from the singular set (d_b its node distance,
+h = omega/M, V_b = |drift| + sum_k w_k |b_k| bounds its speed), and a step
+moves no point by more than delta = sum_k |b_k' - b_k|.  If delta < r_b the
+straight homotopy misses the set; other steps go to the winding grids.
+
 The run is fully deterministic: no randomness, fixed evaluation order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,13 +50,15 @@ class OptimizeError(ValueError):
 # Fixed settings of the solver: the smallest line-search step, the
 # penalty schedule mu = 10, 100, ..., 1e8 for constrained models, the
 # divergence threshold as a multiple of the a priori radius (or of the
-# seed's H1 norm), and the number of L-BFGS pairs kept.
+# seed's H1 norm), the number of L-BFGS pairs kept, and the relative slack
+# on both terms of the clearance bound, far above their rounding.
 STEP_TOL = 1e-14
 PENALTY_MU0 = 10.0
 PENALTY_GROWTH = 10.0
 PENALTY_MAX = 1e8
 DIVERGE_FACTOR = 10.0
 LBFGS_PAIRS = 20
+CERT_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,17 +124,27 @@ class _Objective:
         self.sig_grids = (SineGrid.uniform(proto, sig_nodes, velocity=False),
                           SineGrid.uniform(proto, 2 * sig_nodes,
                                            velocity=False))
-        self.sig_centers = (tuple(enumerate_planar(self.sigma))
-                            if not self.sigma.is_empty() else ())
+        self.sig_centers = tuple(enumerate_planar(self.sigma))
 
     def traj(self, b_flat: np.ndarray) -> FourierTrajectory:
         return self.proto.with_coeffs(b_flat.reshape(self.shape))
 
-    def node_min_distance(self, b_flat: np.ndarray) -> float:
-        if self.sigma.is_empty():
-            return math.inf
+    def nodes(self, b_flat: np.ndarray):
+        """Node positions (M, dim), shared by the guard and the objective,
+        and their least distance to sigma."""
         z = self.grid.z(b_flat.reshape(self.shape))
-        return float(np.min(nearest_distances(self.sigma, z)))
+        if self.sigma.is_empty():
+            return z, np.inf
+        return z, float(np.min(nearest_distances(self.sigma, z)))
+
+    def clearance(self, b_flat: np.ndarray, node_distance: float) -> float:
+        """Lower bound r_b on the distance from the curve b to sigma: every
+        time lies within h/2 = omega/(2M) of a node, and the speed is at
+        most |drift| + sum_k w_k |b_k|."""
+        speed = np.linalg.norm(self.grid.drift) + self.grid.w @ np.linalg.norm(
+            b_flat.reshape(self.shape), axis=1)
+        return ((1.0 - CERT_SLACK) * node_distance
+                - (1.0 + CERT_SLACK) * 0.5 * self.weight * float(speed))
 
     def windings(self, b_flat: np.ndarray):
         """Winding dict on the cached grids, or a refinement error.
@@ -147,8 +164,9 @@ class _Objective:
             "candidate passes too near the singular set to certify its "
             "winding numbers at the cached resolution")
 
-    def value_and_grad(self, b_flat: np.ndarray, mu: float):
-        path = self.grid.path(b_flat.reshape(self.shape))
+    def value_and_grad(self, b_flat: np.ndarray, mu: float, z: np.ndarray):
+        """S_mu and its gradient at b, whose node positions are z."""
+        path = self.grid.path(b_flat.reshape(self.shape), z)
         fields = self.terms.fields(path.t, path.z)
         L = self.terms.lagrangian_at(path, fields)
         S = self.weight * float(np.sum(L))
@@ -242,10 +260,10 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
     sigma = obj.sigma
     track_signature = (not sigma.is_empty()) and model.m == 2 \
         and model.n == 0
-    # the iterate b carries its node distance and H1 norm, computed once
-    # when it is accepted, into its history rows and the divergence check
+    # the iterate b carries its node positions, distance, H1 norm and
+    # clearance bound, computed once when it is accepted
     b = seed.coeffs.reshape(-1).copy()
-    dist = obj.node_min_distance(b)
+    z, dist = obj.nodes(b)
     seed_windings = None
     if track_signature:
         try:
@@ -261,19 +279,30 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
     elif dist <= opts.guard_delta:
         raise OptimizeError("seed violates the singularity guard")
 
+    total_iter = 0
+
+    def evaluate(b_flat, mu, z_b):
+        try:
+            return obj.value_and_grad(b_flat, mu, z_b)
+        except ex.EvalDomainError as err:
+            raise OptimizeError(
+                f"expression domain error at iteration {total_iter}: "
+                f"{err}") from err
+
     margin = coercivity_margin(model.constants, model.omega)
     h1 = seed_h1 = h1_seminorm(seed)
+    clear = obj.clearance(b, dist)
     # kinetic-block diagonal of the Hessian per mode, repeated over coords
     w_freq = seed.frequencies()
     diag_kin = (model.omega / 2.0) * (2.0 * model.constants.K
                                       * w_freq ** 2 + 1.0)
     diag_h0 = np.repeat(1.0 / diag_kin, model.dim)
-    radius = None
+    seed_eval = None
+    diverge_h1 = DIVERGE_FACTOR * max(1.0, seed_h1)
     if margin > 0.0:
-        S_seed, _ = obj.value_and_grad(seed.coeffs.reshape(-1), 0.0)
-        radius = apriori_radius(model.constants, model.omega, S_seed)
-    diverge_h1 = (DIVERGE_FACTOR * radius if radius is not None
-                  else DIVERGE_FACTOR * max(1.0, seed_h1))
+        seed_eval = evaluate(b, 0.0, z)
+        diverge_h1 = DIVERGE_FACTOR * apriori_radius(
+            model.constants, model.omega, seed_eval[0])
 
     phases = [0.0]
     if model.constraints:
@@ -284,7 +313,6 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             mu *= PENALTY_GROWTH
 
     history: list[dict] = []
-    total_iter = 0
 
     def finish(status: str, b_final: np.ndarray) -> SolveResult:
         traj = obj.traj(b_final)
@@ -301,14 +329,10 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
         return SolveResult(trajectory=traj, status=status, report=report,
                            history=history, signature=sig)
 
-    for phase_idx, mu in enumerate(phases):
+    for mu in phases:
         memory = _LbfgsMemory(diag_h0)
-        try:
-            S, g = obj.value_and_grad(b, mu)
-        except ex.EvalDomainError as err:
-            raise OptimizeError(
-                f"expression domain error at iteration {total_iter}: "
-                f"{err}") from err
+        # the unconstrained phase starts at the seed, maybe evaluated above
+        S, g = seed_eval if mu == 0.0 and seed_eval else evaluate(b, mu, z)
         retried_steepest = False
         while True:
             gn = float(np.linalg.norm(g))
@@ -332,6 +356,9 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                 scale = 1.0 / max(1.0, float(np.linalg.norm(direction)))
                 direction = direction * scale
                 dgd *= scale
+            # a step of alpha moves no point of the curve beyond alpha*reach
+            reach = float(np.sum(np.linalg.norm(
+                direction.reshape(obj.shape), axis=1)))
 
             alpha = 1.0
             reject_reason = "armijo"
@@ -339,13 +366,13 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             accepted = None
             while alpha >= STEP_TOL:
                 cand = b + alpha * direction
-                d = obj.node_min_distance(cand)
+                z_cand, d = obj.nodes(cand)
                 if d <= opts.guard_delta:
                     reject_reason = "guard"
                     alpha *= 0.5
                     continue
                 try:
-                    S_cand, g_cand = obj.value_and_grad(cand, mu)
+                    S_cand, g_cand = obj.value_and_grad(cand, mu, z_cand)
                 except ex.EvalDomainError as err:
                     reject_reason = "domain"
                     domain_err = err
@@ -358,7 +385,8 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                     reject_reason = "armijo"
                     alpha *= 0.5
                     continue
-                if track_signature:
+                if track_signature and alpha * reach >= clear:
+                    # not certified by the clearance bound: classify
                     try:
                         ws = obj.windings(cand)
                     except WindingRefinementError:
@@ -367,7 +395,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                         reject_reason = "signature"
                         alpha *= 0.5
                         continue
-                accepted = (cand, S_cand, g_cand, d)
+                accepted = (cand, z_cand, S_cand, g_cand, d)
                 break
 
             if accepted is None:
@@ -388,10 +416,11 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                     continue
                 return finish("MaxIter", b)
 
-            cand, S_cand, g_cand, dist = accepted
+            cand, z, S_cand, g_cand, dist = accepted
             memory.push(cand - b, g_cand - g)
             b, S, g = cand, S_cand, g_cand
-            h1 = h1_seminorm(obj.traj(b))
+            h1 = h1_seminorm(seed, b.reshape(obj.shape))
+            clear = obj.clearance(b, dist)
             retried_steepest = False
             total_iter += 1
 

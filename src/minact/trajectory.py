@@ -184,9 +184,9 @@ class SineGrid:
     def z(self, B: np.ndarray) -> np.ndarray:
         return self.z_drift + self.S @ B
 
-    def path(self, B: np.ndarray) -> SampledPath:
-        """Positions and velocities at the nodes (ddz is not computed)."""
-        return SampledPath(t=self.t, z=self.z(B),
+    def path(self, B: np.ndarray, z: np.ndarray | None = None) -> SampledPath:
+        """Positions (z if given) and velocities at the nodes; no ddz."""
+        return SampledPath(t=self.t, z=self.z(B) if z is None else z,
                            dz=self.drift + self.Cw @ B, ddz=None)
 
     def gradient(self, dLdz: np.ndarray, dLdv: np.ndarray) -> np.ndarray:
@@ -211,10 +211,12 @@ def sample(traj: FourierTrajectory, M: int) -> SampledPath:
     return replace(path, ddz=-grid.S @ (grid.w[:, None] ** 2 * b))
 
 
-def h1_seminorm(traj: FourierTrajectory) -> float:
+def h1_seminorm(traj: FourierTrajectory,
+                coeffs: np.ndarray | None = None) -> float:
     """Exact L2 norm of the velocity over one period.
 
-    Parseval gives, per coordinate with drift c and sine coefficients b_k,
+    coeffs (N, dim), when given, stand in for traj.coeffs.  Parseval
+    gives, per coordinate with drift c and sine coefficients b_k,
 
         integral_0^omega |dz|^2 dt = omega*c^2
                              + sum_k (2*pi*k/omega)^2 * b_k^2 * omega/2;
@@ -223,7 +225,7 @@ def h1_seminorm(traj: FourierTrajectory) -> float:
     the formula is exact, not a quadrature.
     """
     w = traj.frequencies()
-    b = traj.coeffs
+    b = traj.coeffs if coeffs is None else coeffs
     total = traj.omega * float(np.dot(traj.drift(), traj.drift()))
     total += float(np.sum((w[:, None] ** 2) * b * b)) * traj.omega / 2.0
     return math.sqrt(total)

@@ -153,11 +153,12 @@ def _parity_ok(f, t, z, declared=None):
 def _by_rows(run, t, z, shape):
     """run(t, z) on all rows at once; after a domain error, row by row.
 
-    Returns (values (K, *shape), ok (K,)).  A row that leaves the domain
-    on its own has ok False and zero values.
+    Returns (values (K, *shape), ok (K,), errors); a row that leaves the
+    domain on its own has ok False, zero values and its message in errors.
     """
+    errors: dict = {}
     try:
-        return run(t, z), np.ones(len(t), dtype=bool)
+        return run(t, z), np.ones(len(t), dtype=bool), errors
     except ex.EvalDomainError:
         pass
     values = np.zeros((len(t),) + shape)
@@ -165,9 +166,10 @@ def _by_rows(run, t, z, shape):
     for i in range(len(t)):
         try:
             values[i] = run(t[i:i + 1], z[i:i + 1])[0]
-        except ex.EvalDomainError:
+        except ex.EvalDomainError as err:
             ok[i] = False
-    return values, ok
+            errors[i] = str(err)
+    return values, ok, errors
 
 
 def _project_feasible(terms: LagrangianTerms, t: np.ndarray, z0: np.ndarray,
@@ -190,12 +192,13 @@ def _project_feasible(terms: LagrangianTerms, t: np.ndarray, z0: np.ndarray,
         if active.size == 0:
             break
         ta, za = t[active], z[active]
-        F, ok = _by_rows(terms.constraints_at, ta, za, (l,))
+        F, ok, _ = _by_rows(terms.constraints_at, ta, za, (l,))
         done = ok & (np.max(np.abs(F), axis=1) <= tol)
         feasible[active[done]] = True
         keep = ok & ~done
         active, ta, za, F = active[keep], ta[keep], za[keep], F[keep]
-        J, ok = _by_rows(terms.constraint_jacobian_at, ta, za, (l, dim))
+        J, ok, _ = _by_rows(terms.constraint_jacobian_at, ta, za,
+                            (l, dim))
         ok &= np.all(np.isfinite(F), axis=1)
         ok &= np.all(np.isfinite(J), axis=(1, 2))
         active, za, F, J = active[ok], za[ok], F[ok], J[ok]
@@ -217,7 +220,8 @@ def check_hypotheses(model: ModelSpec,
     metric lower bound (condition on K); the gyro growth bound
     |a_i| <= C + M|z|; the potential upper bound
     V <= A|z|^2 - P/dist(z, sigma)^2 + C1 with the nearest singular
-    translate; the constraint-gradient rank at refined feasible points;
+    translate; the constraint-gradient rank at refined feasible points
+    (a gradient that leaves its domain there fails it);
     and the coercivity margin.  A flag True means "not falsified here".
     """
     if sampler is None:
@@ -318,18 +322,21 @@ def check_hypotheses(model: ModelSpec,
             warnings.append(
                 "no feasible constraint points found; rank check skipped")
         else:
-            J = terms.constraint_jacobian_at(t[idx], zf[idx])
+            J, ok, errors = _by_rows(terms.constraint_jacobian_at, t[idx],
+                                     zf[idx], (l, dim))
             sv = np.linalg.svd(J, compute_uv=False)  # (found, min(l, dim))
             top = sv[:, 0]
             rank_tol = 1e-8 * np.where(top > 0, top, 1.0)
-            bad = (sv[:, -1] <= rank_tol) | (sv.shape[1] < l)
-            rank_min_sv = float(np.min(sv[:, -1]))
+            bad = ~ok | (sv[:, -1] <= rank_tol) | (sv.shape[1] < l)
+            rank_min_sv = float(np.min(sv[:, -1], initial=math.inf,
+                                       where=ok))
             if np.any(bad):
                 rank_ok = False
                 i = int(np.argmax(bad))
                 witnesses["rank"] = {
                     "t": float(t[idx[i]]), "z": zf[idx[i]].copy(),
-                    "singular_values": sv[i].copy()}
+                    **({"singular_values": sv[i].copy()} if ok[i]
+                       else {"error": errors[i]})}
     margin = coercivity_margin(k, model.omega)
 
     if not all(parity_ok.values()):

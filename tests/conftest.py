@@ -81,6 +81,49 @@ def count_builds(monkeypatch):
     return built
 
 
+def count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call of owner.name (a module function
+    or a method); returns the list, one args tuple per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def reference_nearest_distances(s, points):
+    """Distances and witnesses, one pass per signed base point.
+
+    The reference for minact.model's nearest-singular routine: for every
+    base point q and then -q, duplicates included, the lattice-reduced
+    difference, its np.linalg.norm per row, and a witness that a later
+    candidate replaces only when strictly closer.  Returns (d (M,),
+    witnesses (M, dim)).
+    """
+    points = np.asarray(points, dtype=float)
+    best = np.full(points.shape[0], np.inf)
+    near = np.empty(points.shape)
+    for q in s.base:
+        for sign in (1.0, -1.0):
+            cand = sign * np.asarray(q)
+            diff = points - cand
+            if s.n:
+                ang = diff[:, s.m:]
+                shift = TWO_PI * np.round(ang / TWO_PI)
+                diff[:, s.m:] = ang - shift
+            d = np.linalg.norm(diff, axis=1)
+            closer = d < best
+            near[closer] = cand
+            if s.n:
+                near[closer, s.m:] += shift[closer]
+            np.minimum(best, d, out=best)
+    return best, near
+
+
 def reference_evaluate(e, t, z):
     """Tree-walk evaluation of one tree: the reference for compiled tapes.
 

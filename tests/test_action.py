@@ -224,8 +224,17 @@ def test_action_report_fields():
 
 def _model(name):
     # constrained_planar_model is the model of demos/constrained_oscillator.py
-    return constrained_planar_model() if name == "constrained" \
-        else builtin(name)
+    if name == "constrained":
+        return constrained_planar_model()
+    if name == "gyro":
+        # state-dependent metric and gyro: no term of L is structurally zero
+        return ModelSpec(
+            m=2, n=0, omega=TWO_PI, nu=(),
+            metric=[[ex.parse("1 + 0.5*z1^2", 2), ex.parse("0.1*z2", 2)],
+                    [ex.parse("0.1*z2", 2), ex.parse("1", 2)]],
+            gyro=[ex.parse("-z2*(1 + z1^2)", 2), ex.parse("z1 + sin(t)", 2)],
+            potential=ex.parse("z1^2 + z2^2", 2), constants=k_only(0.5))
+    return builtin(name)
 
 
 def _nodes(model, rng, M=64):
@@ -257,9 +266,11 @@ def test_tape_matches_evaluate_on_every_model_tree(name, rng):
             ex.to_text(e)
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES + ("constrained",))
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("constrained", "gyro"))
 def test_fields_match_per_entry_evaluation(name, rng):
-    """fields() and the L, dL assembly equal the entry-by-entry reference."""
+    """fields() and the L, dL assembly equal the entry-by-entry reference,
+    the full einsum assembly up to the sign of exact zeros, which skips
+    exactly the groups that vanish."""
     model = _model(name)
     terms = LagrangianTerms(model)
     t, z, dz = _nodes(model, rng)
@@ -299,6 +310,9 @@ def test_fields_match_per_entry_evaluation(name, rng):
         assert np.array_equal(terms.fields(t, z, "constraint_rate").dtf,
                               cols(terms.dtf))
 
+    assert terms.zero == {g for g, v in (("a", a), ("dG", np.stack(dG)),
+                                         ("da", np.stack(da)))
+                          if not np.any(v)}
     path = SampledPath(t=t, z=z, dz=dz, ddz=None)
     L = (0.5 * np.einsum("mij,mi,mj->m", G, dz, dz)
          + np.einsum("mi,mi->m", a, dz) - V)

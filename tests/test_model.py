@@ -13,6 +13,7 @@ from minact.model import (
     model_from_dict, model_to_dict, nearest_distances, nearest_singular,
     save_model, singular_set, with_nu, with_omega,
 )
+from conftest import reference_nearest_distances
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,6 +153,32 @@ def test_nearest_distances_matches_pointwise(rng):
     for i in range(50):
         d, _ = nearest_singular(s, pts[i])
         assert abs(batch[i] - d) < 1e-12, f"row {i}: {batch[i]} vs {d}"
+
+
+_NEAREST_CASES = {
+    "planar_pair": SingularSet(base=((1.0, 0.0), (-1.0, 0.0)), m=2, n=0),
+    "duplicated_base": SingularSet(
+        base=((0.3, -0.8), (0.3, -0.8), (1.0, 0.5)), m=2, n=0),
+    "lattice": SingularSet(base=((1.0, 0.3), (-0.2, 0.9)), m=1, n=1),
+    "single_point": SingularSet(base=((2.0,),), m=1, n=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAREST_CASES))
+def test_nearest_matches_one_pass_per_signed_base_point(name, rng):
+    """One pass over the distinct points of +-base gives the distances of
+    the pass per signed base point bit for bit, and the same witnesses,
+    ties included (a zero coordinate of a negated base point is +0.0, as
+    enumerate_planar lists it)."""
+    s = _NEAREST_CASES[name]
+    pts = rng.uniform(-8.0, 8.0, size=(300, s.dim))
+    pts[:2] = 0.0  # equidistant from q and -q: the first candidate wins
+    pts[2, 0] = 5.0
+    want_d, want_w = reference_nearest_distances(s, pts)
+    assert nearest_distances(s, pts).tobytes() == want_d.tobytes()
+    for i in range(len(pts)):
+        d, w = nearest_singular(s, pts[i])
+        assert d == want_d[i] and np.array_equal(w, want_w[i]), i
 
 
 def test_sigma_angle_coordinates_are_reduced():

@@ -11,10 +11,12 @@ from minact.model import GrowthConstants, ModelSpec, builtin, singular_set
 from minact.optimize import (LBFGS_PAIRS, OptimizeError, SolveOptions,
                              _LbfgsMemory, _Objective, minimize,
                              solve_in_class)
-from minact.trajectory import (FourierTrajectory, h1_seminorm, sample,
-                               seed_curve)
+from minact.trajectory import (FourierTrajectory, evaluate_path,
+                               h1_seminorm, sample, seed_curve,
+                               winding_signature)
 from conftest import (coercive_oscillator_model, constrained_planar_model,
-                      free_drift_model, harmonic_model, random_trajectory)
+                      count_calls, free_drift_model, harmonic_model,
+                      random_trajectory)
 
 TWO_PI = 2.0 * math.pi
 
@@ -259,8 +261,8 @@ def _record_iterates(monkeypatch):
     calls = []
     original = _Objective.value_and_grad
 
-    def wrapped(self, b_flat, mu):
-        S, g = original(self, b_flat, mu)
+    def wrapped(self, b_flat, mu, z):
+        S, g = original(self, b_flat, mu, z)
         calls.append((self, b_flat.copy(), S, float(np.linalg.norm(g))))
         return S, g
 
@@ -291,8 +293,90 @@ def test_history_distance_and_h1_match_their_iterate(monkeypatch, case):
                    if S == row["S_mu"] and gn == row["grad_norm"]]
         assert matches, f"no evaluation matches history row {row['iter']}"
         for obj, b in matches:
-            assert row["min_distance"] == obj.node_min_distance(b)
+            assert row["min_distance"] == obj.nodes(b)[1]
             assert row["h1"] == h1_seminorm(obj.traj(b))
+
+
+def test_seed_objective_is_evaluated_once(monkeypatch):
+    """With a positive margin the seed's S sets the a priori radius and
+    starts the only phase: one evaluation serves both."""
+    calls = _record_iterates(monkeypatch)
+    solve_in_class(builtin("two_centers"), 1, SolveOptions(N=48))
+    seed_b = calls[0][1]
+    assert not np.array_equal(calls[1][1], seed_b)
+    assert sum(np.array_equal(b, seed_b) for _, b, _, _ in calls) == 1
+
+
+def test_seed_domain_error_is_optimize_error():
+    """The seed's evaluation for the a priori radius reports a domain
+    error as OptimizeError, as every later evaluation does."""
+    model = ModelSpec(m=1, n=0, omega=TWO_PI, nu=(), metric=[[ex.const(1.0)]],
+                      gyro=[ex.const(0.0)], potential=ex.parse("log(z1^2)", 1),
+                      constants=GrowthConstants(0, 0, 0, 0.5, 0, 0))
+    seed = FourierTrajectory(TWO_PI, (), [[1.0], [0.0], [0.0], [0.0]])
+    with pytest.raises(OptimizeError, match="domain error at iteration 0"):
+        minimize(model, seed, SolveOptions(N=4))
+
+
+def test_winding_certificate_is_sound(rng):
+    """The clearance bound of an iterate is below its refined clearance,
+    and a step of total coefficient size below the bound, in a random
+    direction or pushing the nearest point of the curve straight at
+    sigma, keeps every winding number."""
+    model = builtin("two_centers")
+    sigma = singular_set(model)
+    opts = SolveOptions(N=16)
+    seed = seed_curve(2, sigma, model.omega, opts.N)
+    obj = _Objective(model, seed, opts.M, LagrangianTerms(model), 256)
+    decay = 0.7 ** np.arange(opts.N)[:, None]
+    checked = 0
+    for _ in range(60):
+        B = seed.coeffs + 0.05 * decay * rng.normal(size=obj.shape)
+        z, dist = obj.nodes(B.reshape(-1))
+        clear = obj.clearance(B.reshape(-1), dist)
+        before = winding_signature(obj.traj(B.reshape(-1)), sigma)
+        assert clear < before.min_distance
+        if clear <= 0.0:
+            continue
+        # the node nearest to sigma, pushed towards its singular point
+        d = [np.linalg.norm(z - np.asarray(p), axis=1)
+             for p in obj.sig_centers]
+        c, i = np.unravel_index(int(np.argmin(d)), (len(d), len(z)))
+        toward = np.asarray(obj.sig_centers[c]) - z[i]
+        wave = np.sin(obj.grid.w * obj.grid.t[i])
+        k = int(np.argmax(np.abs(wave)))
+        push = np.zeros(obj.shape)
+        push[k] = np.sign(wave[k]) * toward / np.linalg.norm(toward)
+        for step in (rng.normal(size=obj.shape), push):
+            size = float(np.sum(np.linalg.norm(step, axis=1)))
+            step = step * rng.uniform(0.9, 1.0) * clear / size
+            moved = np.abs(evaluate_path(obj.traj(step.reshape(-1)),
+                                         obj.grid.t))
+            assert np.max(np.linalg.norm(moved, axis=1)) <= clear
+            after = winding_signature(obj.traj((B + step).reshape(-1)),
+                                      sigma)
+            assert after.windings == before.windings
+            checked += 1
+    assert checked >= 60
+
+
+def test_winding_certificate_replaces_grid_checks_only(monkeypatch):
+    """Steps the clearance bound certifies skip the winding grids.  With
+    the bound disabled every accepted step is classified there, and the
+    solve is the same bit for bit."""
+    model, opts = builtin("two_centers"), SolveOptions(N=24)
+    calls = count_calls(monkeypatch, _Objective, "windings")
+    res = solve_in_class(model, 2, opts)
+    certified = len(calls)
+    calls.clear()
+    monkeypatch.setattr(_Objective, "clearance",
+                        lambda self, b_flat, node_distance: -math.inf)
+    ref = solve_in_class(model, 2, opts)
+    assert len(calls) >= len(ref.history) - 1 > 20
+    assert certified < len(calls) / 10
+    assert res.status == ref.status == "Converged"
+    assert np.array_equal(res.trajectory.coeffs, ref.trajectory.coeffs)
+    assert res.history == ref.history
 
 
 def _reference_direction(memory, grad):

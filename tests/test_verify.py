@@ -144,6 +144,25 @@ def test_hypotheses_rank_deficiency_falsified():
     assert np.allclose(wit["z"], [0.0, z[0, 1], z[0, 2]], rtol=0, atol=1e-12)
 
 
+def test_hypotheses_rank_gradient_outside_domain_fails_condition_4():
+    """sqrt(z1^2) vanishes on z1 = 0, where its gradient divides by zero:
+    every feasible point fails condition 4, and the witness is the first
+    in sample order, with the domain error."""
+    model = flat_model(constraints=(
+        Constraint(ex.parse("sqrt(z1^2)", 2), "even"),))
+    rep = check_hypotheses(model)
+    assert rep.violated == [
+        "condition 4 (constraint rank): rank deficient at a feasible point"]
+    assert not rep.rank_ok and rep.warnings == []
+    t, z = _draw_samples(model, SamplerOptions())
+    zf, feasible = _project_feasible(LagrangianTerms(model), t, z)
+    i = int(np.argmax(feasible))
+    wit = rep.witnesses["rank"]
+    assert wit["t"] == t[i] and np.array_equal(wit["z"], zf[i])
+    assert "division by zero" in wit["error"], wit
+    json.dumps(rep.to_dict())  # must not raise
+
+
 _PROJECTION_CASES = {
     "constrained_oscillator": (constrained_planar_model(), 2000),
     "circle": (flat_model(constraints=(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -323,9 +324,11 @@ def _read_trajectory_csv(path, dim: int):
     return np.asarray(t_vals), np.asarray(z_vals).reshape(len(t_vals), dim)
 
 
+_parser = functools.cache(build_parser)  # parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit:

@@ -19,7 +19,8 @@ Most winding checks are certified: the accepted iterate's curve stays
 r_b = d_b - (h/2) V_b from the singular set (d_b its node distance,
 h = omega/M, V_b = |drift| + sum_k w_k |b_k| bounds its speed), and a step
 moves no point by more than delta = sum_k |b_k' - b_k|.  If delta < r_b the
-straight homotopy misses the set; other steps go to the winding grids.
+straight homotopy misses the set; other steps are classified on nodes
+sampled by inverse FFT.
 
 The run is fully deterministic: no randomness, fixed evaluation order.
 """
@@ -31,13 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .action import LagrangianTerms, action_report, apriori_radius, \
-    coercivity_margin
+from .action import ActionReport, LagrangianTerms, action_lower_bound, \
+    action_report, apriori_radius, coercivity_margin
 from .model import ModelSpec, enumerate_planar, nearest_distances, \
     singular_set
 from .trajectory import FourierTrajectory, HomotopySignature, SineGrid, \
-    WindingRefinementError, h1_seminorm, winding_signature, \
-    windings_of_closed_points
+    WindingRefinementError, h1_seminorm, min_distance_to, \
+    uniform_positions, winding_signature, windings_of_closed_points
 
 __all__ = ["SolveOptions", "SolveResult", "OptimizeError",
            "minimize", "solve_in_class"]
@@ -108,9 +109,8 @@ class SolveResult:
 class _Objective:
     """Penalized action and gradient as functions of flat coefficients.
 
-    The sine bases of the quadrature grid and of the two (coarser) winding
-    grids are built once; every inner-loop quantity is then a dense
-    matmul.
+    The quadrature grid's sine basis is built once; every inner-loop
+    quantity is a dense matmul on it.
     """
 
     def __init__(self, model: ModelSpec, proto: FourierTrajectory,
@@ -121,9 +121,7 @@ class _Objective:
         self.sigma = singular_set(model)
         self.grid = SineGrid.uniform(proto, M)
         self.shape = proto.coeffs.shape
-        self.sig_grids = (SineGrid.uniform(proto, sig_nodes, velocity=False),
-                          SineGrid.uniform(proto, 2 * sig_nodes,
-                                           velocity=False))
+        self.sig_nodes = sig_nodes
         self.sig_centers = tuple(enumerate_planar(self.sigma))
 
     def traj(self, b_flat: np.ndarray) -> FourierTrajectory:
@@ -147,22 +145,21 @@ class _Objective:
                 - (1.0 + CERT_SLACK) * 0.5 * self.weight * float(speed))
 
     def windings(self, b_flat: np.ndarray):
-        """Winding dict on the cached grids, or a refinement error.
+        """Winding dict on sig_nodes, else 2*sig_nodes, FFT-sampled nodes.
 
-        Tries the base grid and one doubled grid only, so every line-search
-        candidate costs at most two matmuls.  A curve that cannot be
-        classified at that resolution passes too close to a singular point
-        to certify its class; callers treat the error as a conservative
-        rejection.
+        A curve classified on neither passes too close to a singular point
+        to certify its class: a WindingRefinementError, which callers treat
+        as a conservative rejection.
         """
-        B = b_flat.reshape(self.shape)
-        for grid in self.sig_grids:
-            ws = windings_of_closed_points(grid.z(B), self.sig_centers)
+        traj = self.traj(b_flat)
+        for M in (self.sig_nodes, 2 * self.sig_nodes):
+            ws = windings_of_closed_points(uniform_positions(traj, M),
+                                           self.sig_centers)
             if ws is not None:
                 return ws
         raise WindingRefinementError(
             "candidate passes too near the singular set to certify its "
-            "winding numbers at the cached resolution")
+            "winding numbers at the fixed resolution")
 
     def value_and_grad(self, b_flat: np.ndarray, mu: float, z: np.ndarray):
         """S_mu and its gradient at b, whose node positions are z."""
@@ -314,9 +311,14 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
 
     history: list[dict] = []
 
-    def finish(status: str, b_final: np.ndarray) -> SolveResult:
-        traj = obj.traj(b_final)
-        report = action_report(model, traj, opts.M, terms)
+    def finish(status: str) -> SolveResult:
+        traj = obj.traj(b)  # the current iterate, with the loop's S, g, h1
+        if model.constraints:  # the loop's S is penalized
+            report = action_report(model, traj, opts.M, terms)
+        else:
+            report = ActionReport(
+                S, float(np.linalg.norm(g)), h1, min_distance_to(traj, sigma),
+                margin, action_lower_bound(model.constants, model.omega, h1))
         sig = None
         if track_signature:
             try:
@@ -344,7 +346,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             if gn <= opts.grad_tol:
                 break  # phase converged
             if total_iter >= opts.max_iters:
-                return finish("MaxIter", b)
+                return finish("MaxIter")
             direction = memory.direction(g)
             dgd = float(np.dot(direction, g))
             if dgd >= 0.0:
@@ -400,9 +402,9 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
 
             if accepted is None:
                 if reject_reason == "guard":
-                    return finish("GuardTriggered", b)
+                    return finish("GuardTriggered")
                 if reject_reason == "signature":
-                    return finish("SignatureChanged", b)
+                    return finish("SignatureChanged")
                 if reject_reason == "domain":
                     raise OptimizeError(
                         f"expression domain error persisted through the "
@@ -414,7 +416,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                     memory.clear()
                     retried_steepest = True
                     continue
-                return finish("MaxIter", b)
+                return finish("MaxIter")
 
             cand, z, S_cand, g_cand, dist = accepted
             memory.push(cand - b, g_cand - g)
@@ -425,10 +427,10 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             total_iter += 1
 
             if h1 > diverge_h1:
-                return finish("Diverged", b)
+                return finish("Diverged")
 
         # phase ended with small gradient; tighten constraints further
-    return finish("Converged", b)
+    return finish("Converged")
 
 
 def solve_in_class(model: ModelSpec, homotopy_class, opts: SolveOptions,

@@ -32,9 +32,9 @@ from .model import SingularSet, enumerate_planar, nearest_distances, \
 __all__ = [
     "FourierTrajectory", "SampledPath", "SineGrid", "HomotopySignature",
     "TrajectoryError", "SeedError", "WindingRefinementError",
-    "sample", "evaluate_path", "h1_seminorm", "winding_signature",
-    "windings_of_closed_points", "min_distance_to", "seed_curve",
-    "poincare_check", "PoincareBounds",
+    "sample", "evaluate_path", "uniform_positions", "h1_seminorm",
+    "winding_signature", "windings_of_closed_points", "min_distance_to",
+    "seed_curve", "poincare_check", "PoincareBounds",
     "write_trajectory_csv", "coeffs_to_dict", "trajectory_from_dict",
     "save_coeffs", "load_coeffs",
 ]
@@ -168,18 +168,15 @@ class SineGrid:
         self.Cw = np.cos(phases) * self.w if velocity else None
 
     @classmethod
-    def uniform(cls, traj: FourierTrajectory, M: int,
-                velocity: bool = True) -> "SineGrid":
-        """The grid on the M uniform nodes i*omega/M of one period.
-
-        With velocities it is a quadrature grid, and then requires
-        M >= 2N + 1 so that no represented mode aliases on it.
+    def uniform(cls, traj: FourierTrajectory, M: int) -> "SineGrid":
+        """The quadrature grid on the M uniform nodes i*omega/M of one
+        period; requires M >= 2N + 1 so that no represented mode aliases.
         """
         M = int(M)
-        if velocity and M < 2 * traj.N + 1:
+        if M < 2 * traj.N + 1:
             raise TrajectoryError(
                 f"M = {M} too small for N = {traj.N} modes (need M >= 2N+1)")
-        return cls(traj, traj.omega * np.arange(M) / M, velocity)
+        return cls(traj, traj.omega * np.arange(M) / M)
 
     def z(self, B: np.ndarray) -> np.ndarray:
         return self.z_drift + self.S @ B
@@ -198,6 +195,20 @@ def evaluate_path(traj: FourierTrajectory, t) -> np.ndarray:
     """Positions z(t) for arbitrary times t; shape (len(t), dim)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     return SineGrid(traj, t, velocity=False).z(traj.coeffs)
+
+
+def uniform_positions(traj: FourierTrajectory, M: int) -> np.ndarray:
+    """Positions (M, dim) at the nodes i*omega/M, by one inverse real FFT.
+
+    Mode k goes to bin k mod M, folded to M - k with a sign flip past M/2;
+    bins 0 and M/2 get nothing, as the sine is zero on the nodes there.
+    """
+    k = np.arange(1, traj.N + 1) % M
+    scale = -0.5j * M * np.sign(M - 2 * k) * (k > 0)
+    spectrum = np.zeros((M // 2 + 1, traj.dim), dtype=complex)
+    np.add.at(spectrum, np.minimum(k, M - k), scale[:, None] * traj.coeffs)
+    return (np.fft.irfft(spectrum, n=M, axis=0)
+            + np.outer(traj.omega * np.arange(M) / M, traj.drift()))
 
 
 def sample(traj: FourierTrajectory, M: int) -> SampledPath:
@@ -265,7 +276,7 @@ def windings_of_closed_points(points: np.ndarray, centers) -> dict | None:
 
 
 def _distance_profile(traj: FourierTrajectory, s: SingularSet, M: int):
-    """Points and node distances on a dense grid, and the refined minimum.
+    """FFT-sampled points and node distances, and the refined minimum.
 
     Golden-section search refines every sampled local minimum of the
     distance at once, 50 steps on the bracket of its two neighbour nodes;
@@ -279,7 +290,7 @@ def _distance_profile(traj: FourierTrajectory, s: SingularSet, M: int):
 
 
 def _compute_profile(traj: FourierTrajectory, s: SingularSet, M: int):
-    pts = SineGrid.uniform(traj, M, velocity=False).z(traj.coeffs)
+    pts = uniform_positions(traj, M)
     d = nearest_distances(s, pts)
     h = traj.omega / M
     local = np.nonzero((d <= np.roll(d, 1)) & (d <= np.roll(d, -1)))[0]
@@ -288,9 +299,11 @@ def _compute_profile(traj: FourierTrajectory, s: SingularSet, M: int):
     a, b = ti - h, ti + h
     c = b - inv * (b - a)
     e = a + inv * (b - a)
+    w, drift, coeffs = traj.frequencies(), traj.drift(), traj.coeffs
 
-    def dist(tt):
-        return nearest_distances(s, evaluate_path(traj, tt))
+    def dist(tt):  # evaluate_path's arithmetic, no SineGrid per step
+        return nearest_distances(
+            s, np.outer(tt, drift) + np.sin(np.outer(tt, w)) @ coeffs)
 
     fc, fe = dist(c), dist(e)
     for _ in range(50):
@@ -356,9 +369,8 @@ def _compute_signature(traj: FourierTrajectory, s: SingularSet,
         cap = max(M * 256, 1 << 20)
         level = M
         while True:
-            loop = SineGrid.uniform(traj, level, velocity=False) \
-                .z(traj.coeffs)
-            windings = windings_of_closed_points(loop, centers)
+            windings = windings_of_closed_points(
+                uniform_positions(traj, level), centers)
             if windings is not None:
                 break
             if level >= cap:
@@ -419,8 +431,8 @@ def seed_curve(m_coils: int, s: SingularSet, omega: float,
     while Mf < 16 * max(N, 4 * m_coils):
         Mf *= 2
     proto = FourierTrajectory(omega=omega, nu=(), coeffs=np.zeros((N, 2)))
-    grid = SineGrid.uniform(proto, Mf, velocity=False)
-    t = grid.t
+    t = proto.omega * np.arange(Mf) / Mf
+    grid = SineGrid(proto, t, velocity=False)
     half = t <= omega / 2.0
     theta = TWO_PI * m_coils * (2.0 * t / omega)
     zs = np.empty((Mf, 2))

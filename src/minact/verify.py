@@ -23,8 +23,8 @@ from . import expr as ex
 from .action import LagrangianTerms, coercivity_margin
 from .model import ModelSpec, SingularSet, is_autonomous, \
     nearest_distances, singular_set
-from .trajectory import FourierTrajectory, evaluate_path, \
-    min_distance_to, sample, winding_signature
+from .trajectory import FourierTrajectory, min_distance_to, sample, \
+    uniform_positions, winding_signature
 
 __all__ = ["SamplerOptions", "HypothesisReport", "ResidualReport",
            "VerifyError", "check_hypotheses", "el_residual",
@@ -541,18 +541,15 @@ def homotopy_equiv_sufficient(t1: FourierTrajectory,
         raise VerifyError("delta must be positive")
     if t1.dim != t2.dim or abs(t1.omega - t2.omega) > 1e-12 * t1.omega:
         raise VerifyError("trajectories live in different spaces")
-    d1 = min_distance_to(t1, s)
-    d2 = min_distance_to(t2, s)
-    if d1 < delta or d2 < delta:
+    clearance = min(min_distance_to(t1, s), min_distance_to(t2, s))
+    if clearance < delta:
         raise VerifyError(
-            f"clearance below delta: {min(d1, d2):.6g} < {delta:.6g}")
+            f"clearance below delta: {clearance:.6g} < {delta:.6g}")
     if t1.nu != t2.nu:
         return "Inconclusive"
     Mq = max(16 * max(t1.N, t2.N), 1024)
-    tq = t1.omega * np.arange(Mq) / Mq
-    z1 = evaluate_path(t1, tq)
-    z2 = evaluate_path(t2, tq)
-    sup = float(np.max(np.linalg.norm(z1 - z2, axis=1)))
+    gap = uniform_positions(t1, Mq) - uniform_positions(t2, Mq)
+    sup = float(np.max(np.linalg.norm(gap, axis=1)))
     if sup >= delta / 2:
         return "Inconclusive"
     sig1 = winding_signature(t1, s)

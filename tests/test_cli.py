@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from minact import expr as ex
+from minact import cli, expr as ex
 from minact.cli import main
 from minact.model import GrowthConstants, ModelSpec, save_model
 
@@ -303,6 +303,25 @@ def test_plotdata_empty_and_malformed(tmp_path):
     bad.write_text("time,x,y\n0,1,2\n", encoding="utf-8")
     assert run_cli(["plotdata", "--builtin", "two_centers", "--traj", bad,
                     "--out", tmp_path]) == 1
+
+
+def test_parser_is_built_once_and_keeps_no_arguments(tmp_path, monkeypatch):
+    """Consecutive main calls share one parser, and the second call's
+    namespace carries nothing of the first call's --param."""
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        raise ValueError("stop after parsing")
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "_model_from_args", record)
+    assert run_cli(["solve", "--builtin", "two_centers", "--param",
+                    "r0=0,1", "--coils", 1, "--out", tmp_path]) == 1
+    assert run_cli(["solve", "--builtin", "two_centers", "--coils", 1,
+                    "--out", tmp_path]) == 1
+    assert cli._parser.cache_info().misses == 1
+    assert seen[0].param == ["r0=0,1"] and seen[1].param is None
 
 
 # ---------------------------------------------------------------------------

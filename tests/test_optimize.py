@@ -1,22 +1,23 @@
 """Action minimization: statuses, invariants, and reference solutions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from minact import expr as ex
-from minact.action import LagrangianTerms, action
+from minact.action import LagrangianTerms, action, action_report
 from minact.model import GrowthConstants, ModelSpec, builtin, singular_set
 from minact.optimize import (LBFGS_PAIRS, OptimizeError, SolveOptions,
                              _LbfgsMemory, _Objective, minimize,
                              solve_in_class)
-from minact.trajectory import (FourierTrajectory, evaluate_path,
+from minact.trajectory import (FourierTrajectory, SineGrid, evaluate_path,
                                h1_seminorm, sample, seed_curve,
                                winding_signature)
 from conftest import (coercive_oscillator_model, constrained_planar_model,
-                      count_calls, free_drift_model, harmonic_model,
-                      random_trajectory)
+                      count_builds, count_calls, free_drift_model,
+                      harmonic_model, random_trajectory)
 
 TWO_PI = 2.0 * math.pi
 
@@ -421,3 +422,49 @@ def test_lbfgs_direction_matches_recomputed_rho(rng):
     grad = rng.normal(size=n)
     assert np.array_equal(memory.direction(grad),
                           _reference_direction(memory, grad))
+
+
+def test_objective_builds_one_sine_grid(monkeypatch):
+    """The quadrature grid is the objective's only sine table; winding
+    checks sample by inverse FFT."""
+    model, opts = builtin("two_centers"), SolveOptions(N=48)
+    seed = seed_curve(1, singular_set(model), model.omega, opts.N)
+    grids = count_calls(monkeypatch, SineGrid, "__init__")
+    obj = _Objective(model, seed, opts.M, LagrangianTerms(model),
+                     16 * opts.N)
+    assert len(grids) == 1
+    assert obj.windings(seed.coeffs.reshape(-1)) == winding_signature(
+        seed, singular_set(model), M=16 * opts.N).windings
+    assert len(grids) == 1
+
+
+def _report_bits(report):
+    return [float(v).hex() for v in report.to_dict().values()]
+
+
+def test_unconstrained_report_comes_from_the_loop(monkeypatch):
+    """Without penalty phases the final ActionReport takes S and the
+    gradient norm from the loop, bit for bit what action_report computes.
+    nearest_distances then runs only for the node guards of the seed and
+    the candidates and for the distance profiles (one grid, two brackets
+    and 50 golden-section steps each): no quadrature pass at the end."""
+    model, opts = builtin("two_centers"), SolveOptions(N=24)
+    counted = [count_calls(monkeypatch, sys.modules[f"minact.{name}"],
+                           "nearest_distances")
+               for name in ("action", "optimize", "trajectory")]
+    nodes = count_calls(monkeypatch, _Objective, "nodes")
+    builds = count_builds(monkeypatch)
+    res = solve_in_class(model, 1, opts)
+    profiles = [M for kind, _, M in builds if kind == "profile"]
+    assert res.status == "Converged" and len(profiles) == 2
+    assert sum(map(len, counted)) == len(nodes) + 53 * len(profiles)
+    assert _report_bits(res.report) == _report_bits(
+        action_report(model, res.trajectory, opts.M))
+    for model, seed, opts in (
+            (harmonic_model(), FourierTrajectory(TWO_PI, (), 0.3 * np.ones(
+                (8, 1))), SolveOptions(N=8)),
+            (constrained_planar_model(), FourierTrajectory(
+                TWO_PI, (), 0.1 * np.ones((6, 2))), SolveOptions(N=6))):
+        res = minimize(model, seed, opts)
+        assert _report_bits(res.report) == _report_bits(
+            action_report(model, res.trajectory, opts.M))

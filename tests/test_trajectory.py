@@ -11,8 +11,8 @@ from minact.trajectory import (
     FourierTrajectory, HomotopySignature, PoincareBounds, SeedError,
     SineGrid, TrajectoryError, WindingRefinementError, coeffs_to_dict, evaluate_path,
     h1_seminorm, load_coeffs, min_distance_to, poincare_check, sample,
-    save_coeffs, seed_curve, trajectory_from_dict, winding_signature,
-    windings_of_closed_points, write_trajectory_csv,
+    save_coeffs, seed_curve, trajectory_from_dict, uniform_positions,
+    winding_signature, windings_of_closed_points, write_trajectory_csv,
 )
 from conftest import count_builds, random_trajectory
 
@@ -426,8 +426,7 @@ def test_windings_one_pass_matches_per_center(rng):
     saw_none = saw_winding = False
     for _ in range(40):
         traj = random_trajectory(rng, dim=2, N=5, scale=2.0)
-        pts = SineGrid.uniform(traj, int(rng.integers(16, 400)),
-                               velocity=False).z(traj.coeffs)
+        pts = uniform_positions(traj, int(rng.integers(16, 400)))
         centers = [tuple(rng.uniform(-2.0, 2.0, size=2))
                    for _ in range(int(rng.integers(1, 5)))]
         got = windings_of_closed_points(pts, centers)
@@ -486,3 +485,56 @@ def test_trajectory_coefficients_are_read_only():
     with pytest.raises(ValueError):
         traj.coeffs[0, 0] = 2.0
     assert traj != FourierTrajectory(TWO_PI, (), [[1.0, 0.0]])  # eq=False
+
+
+def _uniform_sample_cases():
+    from minact.optimize import SolveOptions, solve_in_class
+    rng = np.random.default_rng(11)
+    orbit = solve_in_class(builtin("two_centers"), 1,
+                           SolveOptions(N=24)).trajectory
+    tube = builtin("tube_ball", nu=(2,))
+    rolling = random_trajectory(rng, dim=tube.dim, N=12, omega=tube.omega,
+                                nu=tube.nu)
+    wide = random_trajectory(rng, dim=2, N=20)
+    return [
+        ("two_centers orbit", orbit, 1024),
+        ("tube_ball drift", rolling, 96),
+        ("odd M", orbit, 777),
+        ("M = 2N", wide, 40),
+        ("M = 2N - 7, folded", wide, 33),
+        ("M < N, folded twice", wide, 9),
+    ]
+
+
+def test_uniform_positions_match_dense_sine_grid():
+    """The inverse-FFT sample equals the dense basis on the same nodes,
+    drift and aliased modes included, to 1e-13 of the curve's size."""
+    for name, traj, M in _uniform_sample_cases():
+        grid = SineGrid(traj, traj.omega * np.arange(M) / M, velocity=False)
+        want = grid.z(traj.coeffs)
+        got = uniform_positions(traj, M)
+        assert got.shape == want.shape == (M, traj.dim), name
+        scale = float(np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
+
+
+def test_winding_refinement_memory_is_linear_in_nodes():
+    """A curve 1e-6 from a singular point doubles its winding grid to the
+    2^20-node cap and is still refused, with a traced peak that does not
+    grow with N: no M x N sine table is built at any level."""
+    import tracemalloc
+    rng = np.random.default_rng(5)
+    traj = random_trajectory(rng, dim=2, N=16)
+    point = evaluate_path(traj, [1.0])[0]
+    w = traj.frequencies()
+    tangent = (w * np.cos(w * 1.0)) @ traj.coeffs  # dz at t = 1
+    normal = np.array([-tangent[1], tangent[0]]) / np.linalg.norm(tangent)
+    near = SingularSet(base=(tuple(point + 1e-6 * normal),), m=2, n=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindingRefinementError, match="M = 1048576"):
+            winding_signature(traj, near)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20, peak

@@ -29,7 +29,7 @@ inside an a priori radius computable from any reference action value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -262,10 +262,9 @@ class LagrangianTerms:
         return self.fields(t, z, "constraint_jacobian").df
 
 
-def _nodes(model: ModelSpec, traj: FourierTrajectory, M: int,
-           terms: LagrangianTerms | None, kind: str):
+def _nodes(model: ModelSpec, traj: FourierTrajectory, M: int, kind: str):
     """Guarded path, basis and one kind of fields at the M uniform nodes."""
-    terms = terms or LagrangianTerms(model)
+    terms = LagrangianTerms(model)
     grid = SineGrid.uniform(traj, M)
     path = grid.path(traj.coeffs)
     if model.sigma_base:
@@ -278,22 +277,21 @@ def _nodes(model: ModelSpec, traj: FourierTrajectory, M: int,
     return terms, grid, path, terms.fields(path.t, path.z, kind)
 
 
-def action(model: ModelSpec, traj: FourierTrajectory, M: int,
-           terms: LagrangianTerms | None = None) -> float:
+def action(model: ModelSpec, traj: FourierTrajectory, M: int) -> float:
     """Discrete action S = (omega/M) * sum_i L(t_i, z_i, dz_i).
 
     Deterministic: fixed node order, fixed summation order.  Raises
     SingularityHit if a node touches the singular set and EvalDomainError
     if an expression leaves its domain.
     """
-    terms, _, path, fields = _nodes(model, traj, M, terms, "lagrangian")
+    terms, _, path, fields = _nodes(model, traj, M, "lagrangian")
     return model.omega / M * float(np.sum(terms.lagrangian_at(path, fields)))
 
 
-def action_gradient(model: ModelSpec, traj: FourierTrajectory, M: int,
-                    terms: LagrangianTerms | None = None) -> np.ndarray:
+def action_gradient(model: ModelSpec, traj: FourierTrajectory,
+                    M: int) -> np.ndarray:
     """Exact gradient of the discrete action; shape matches traj.coeffs."""
-    terms, grid, path, fields = _nodes(model, traj, M, terms, "gradient")
+    terms, grid, path, fields = _nodes(model, traj, M, "gradient")
     return model.omega / M * grid.gradient(*terms.dL_fields(path, fields))
 
 
@@ -341,31 +339,25 @@ class ActionReport:
     margin: float
     lower_bound_at_h1: float
 
+    @classmethod
+    def of(cls, model: ModelSpec, traj: FourierTrajectory, S: float,
+           grad: np.ndarray, h1: float) -> "ActionReport":
+        """The report of traj, whose discrete action S, coefficient
+        gradient and H1 seminorm h1 the caller has computed."""
+        k = model.constants
+        return cls(S=S, grad_norm=float(np.linalg.norm(grad)), h1=h1,
+                   min_distance=min_distance_to(traj, singular_set(model)),
+                   margin=coercivity_margin(k, model.omega),
+                   lower_bound_at_h1=action_lower_bound(k, model.omega, h1))
+
     def to_dict(self) -> dict:
-        return {
-            "S": self.S,
-            "grad_norm": self.grad_norm,
-            "h1": self.h1,
-            "min_distance": self.min_distance,
-            "margin": self.margin,
-            "lower_bound_at_h1": self.lower_bound_at_h1,
-        }
+        return asdict(self)
 
 
-def action_report(model: ModelSpec, traj: FourierTrajectory, M: int,
-                  terms: LagrangianTerms | None = None) -> ActionReport:
+def action_report(model: ModelSpec, traj: FourierTrajectory,
+                  M: int) -> ActionReport:
     """Action, gradient norm, H1 norm, clearance, and coercivity numbers."""
-    terms, grid, path, fields = _nodes(model, traj, M, terms, "objective")
+    terms, grid, path, fields = _nodes(model, traj, M, "objective")
     S = model.omega / M * float(np.sum(terms.lagrangian_at(path, fields)))
     g = model.omega / M * grid.gradient(*terms.dL_fields(path, fields))
-    h1 = h1_seminorm(traj)
-    dist = min_distance_to(traj, singular_set(model))
-    k = model.constants
-    return ActionReport(
-        S=S,
-        grad_norm=float(np.linalg.norm(g)),
-        h1=h1,
-        min_distance=dist,
-        margin=coercivity_margin(k, model.omega),
-        lower_bound_at_h1=action_lower_bound(k, model.omega, h1),
-    )
+    return ActionReport.of(model, traj, S, g, h1_seminorm(traj))

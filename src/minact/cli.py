@@ -71,8 +71,6 @@ def _model_from_args(args) -> ModelSpec:
         raise ValueError("exactly one of --builtin or --model is required")
     if args.builtin:
         params = dict(_parse_param(p) for p in (args.param or []))
-        if getattr(args, "pot_exp", None) is not None:
-            params["n"] = args.pot_exp
         if args.omega is not None:
             params["omega"] = args.omega
         if args.nu is not None:
@@ -98,8 +96,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--param", action="append", metavar="K=V",
                    help="builtin parameter (repeatable; commas make "
                         "vectors, e.g. r0=1,0)")
-    p.add_argument("--pot-exp", type=int, default=None,
-                   help="potential exponent shortcut (sets param n)")
     p.add_argument("--omega", type=float, default=None, help="period")
     p.add_argument("--nu", default=None,
                    help="angle winding integers, comma separated")

@@ -96,8 +96,6 @@ class Power(Expr):
     exponent: float
 
 
-_UNARY_OPS = ("neg", "sin", "cos", "exp", "log", "sqrt")
-
 # ---------------------------------------------------------------------------
 # smart constructors (constant folding and 0/1 identities; best effort only)
 # ---------------------------------------------------------------------------

@@ -27,18 +27,18 @@ The run is fully deterministic: no randomness, fixed evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
-from .action import ActionReport, LagrangianTerms, action_lower_bound, \
-    action_report, apriori_radius, coercivity_margin
+from .action import ActionReport, LagrangianTerms, apriori_radius, \
+    coercivity_margin
 from .model import ModelSpec, enumerate_planar, nearest_distances, \
     singular_set
 from .trajectory import FourierTrajectory, HomotopySignature, SineGrid, \
-    WindingRefinementError, h1_seminorm, min_distance_to, \
-    uniform_positions, winding_signature, windings_of_closed_points
+    WindingRefinementError, h1_seminorm, refine_windings, winding_signature
 
 __all__ = ["SolveOptions", "SolveResult", "OptimizeError",
            "minimize", "solve_in_class"]
@@ -113,15 +113,13 @@ class _Objective:
     quantity is a dense matmul on it.
     """
 
-    def __init__(self, model: ModelSpec, proto: FourierTrajectory,
-                 M: int, terms: LagrangianTerms, sig_nodes: int):
+    def __init__(self, model: ModelSpec, proto: FourierTrajectory, M: int):
         self.proto = proto
-        self.terms = terms
+        self.terms = LagrangianTerms(model)
         self.weight = model.omega / M
         self.sigma = singular_set(model)
         self.grid = SineGrid.uniform(proto, M)
         self.shape = proto.coeffs.shape
-        self.sig_nodes = sig_nodes
         self.sig_centers = tuple(enumerate_planar(self.sigma))
 
     def traj(self, b_flat: np.ndarray) -> FourierTrajectory:
@@ -145,21 +143,14 @@ class _Objective:
                 - (1.0 + CERT_SLACK) * 0.5 * self.weight * float(speed))
 
     def windings(self, b_flat: np.ndarray):
-        """Winding dict on sig_nodes, else 2*sig_nodes, FFT-sampled nodes.
+        """Winding dict on the default winding grid or, failing that, on
+        twice as many nodes.
 
         A curve classified on neither passes too close to a singular point
         to certify its class: a WindingRefinementError, which callers treat
         as a conservative rejection.
         """
-        traj = self.traj(b_flat)
-        for M in (self.sig_nodes, 2 * self.sig_nodes):
-            ws = windings_of_closed_points(uniform_positions(traj, M),
-                                           self.sig_centers)
-            if ws is not None:
-                return ws
-        raise WindingRefinementError(
-            "candidate passes too near the singular set to certify its "
-            "winding numbers at the fixed resolution")
+        return refine_windings(self.traj(b_flat), self.sig_centers, 1)
 
     def value_and_grad(self, b_flat: np.ndarray, mu: float, z: np.ndarray):
         """S_mu and its gradient at b, whose node positions are z."""
@@ -188,44 +179,30 @@ class _LbfgsMemory:
 
     def __init__(self, diag_h0: np.ndarray):
         self.d0 = diag_h0
-        self.s: list[np.ndarray] = []
-        self.y: list[np.ndarray] = []
-        self.rho: list[float] = []  # 1 / (y . s) of each stored pair
-
-    def clear(self) -> None:
-        self.s.clear()
-        self.y.clear()
-        self.rho.clear()
+        # (s, y, 1 / (y . s)) per stored pair, oldest first
+        self.pairs: deque = deque(maxlen=LBFGS_PAIRS)
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(np.dot(s, y))
         if sy <= 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             return  # skip pairs that would break positive definiteness
-        if len(self.s) == LBFGS_PAIRS:
-            self.s.pop(0)
-            self.y.pop(0)
-            self.rho.pop(0)
-        self.s.append(s)
-        self.y.append(y)
-        self.rho.append(1.0 / sy)
+        self.pairs.append((s, y, 1.0 / sy))
 
     def direction(self, grad: np.ndarray) -> np.ndarray:
         # standard two-loop recursion, H0 = gamma * diag(d0)
         q = grad.copy()
         alphas = []
-        for s, y, rho in zip(reversed(self.s), reversed(self.y),
-                             reversed(self.rho)):
+        for s, y, rho in reversed(self.pairs):
             a = rho * np.dot(s, q)
             alphas.append(a)
             q -= a * y
-        if self.s:
-            s, y = self.s[-1], self.y[-1]
+        if self.pairs:
+            s, y, _ = self.pairs[-1]
             gamma = np.dot(s, y) / np.dot(y, self.d0 * y)
         else:
             gamma = 1.0
         q = gamma * (self.d0 * q)
-        for (s, y, rho), a in zip(zip(self.s, self.y, self.rho),
-                                  reversed(alphas)):
+        for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
             beta = rho * np.dot(y, q)
             q += (a - beta) * s
         return -q
@@ -251,9 +228,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
         raise OptimizeError("seed period differs from the model period")
     if seed.nu != model.nu:
         raise OptimizeError("seed winding vector differs from the model")
-    terms = LagrangianTerms(model)
-    sig_nodes = max(16 * opts.N, 64)
-    obj = _Objective(model, seed, opts.M, terms, sig_nodes)
+    obj = _Objective(model, seed, opts.M)
     sigma = obj.sigma
     track_signature = (not sigma.is_empty()) and model.m == 2 \
         and model.n == 0
@@ -264,7 +239,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
     seed_windings = None
     if track_signature:
         try:
-            seed_sig = winding_signature(seed, sigma, M=sig_nodes)
+            seed_sig = winding_signature(seed, sigma)
         except WindingRefinementError as err:
             raise OptimizeError(
                 f"seed cannot be classified against sigma: {err}") from err
@@ -313,16 +288,14 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
 
     def finish(status: str) -> SolveResult:
         traj = obj.traj(b)  # the current iterate, with the loop's S, g, h1
-        if model.constraints:  # the loop's S is penalized
-            report = action_report(model, traj, opts.M, terms)
-        else:
-            report = ActionReport(
-                S, float(np.linalg.norm(g)), h1, min_distance_to(traj, sigma),
-                margin, action_lower_bound(model.constants, model.omega, h1))
+        # penalty phases leave S and g penalized: take them at mu = 0
+        S_b, g_b = (obj.value_and_grad(b, 0.0, z) if model.constraints
+                    else (S, g))
+        report = ActionReport.of(model, traj, S_b, g_b, h1)
         sig = None
         if track_signature:
             try:
-                sig = winding_signature(traj, sigma, M=sig_nodes)
+                sig = winding_signature(traj, sigma)
             except WindingRefinementError:
                 pass  # unclassifiable: not Converged, see below
         if status == "Converged" and track_signature:
@@ -352,8 +325,8 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             if dgd >= 0.0:
                 direction = -g
                 dgd = -float(np.dot(g, g))
-                memory.clear()
-            if not memory.s:
+                memory.pairs.clear()
+            if not memory.pairs:
                 # first step of a phase: conservative scale
                 scale = 1.0 / max(1.0, float(np.linalg.norm(direction)))
                 direction = direction * scale
@@ -410,10 +383,10 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                         f"expression domain error persisted through the "
                         f"line search at iteration {total_iter}: "
                         f"{domain_err}")
-                if memory.s and not retried_steepest:
+                if memory.pairs and not retried_steepest:
                     # Armijo stalled on the quasi-Newton direction; retry
                     # once from plain steepest descent before giving up
-                    memory.clear()
+                    memory.pairs.clear()
                     retried_steepest = True
                     continue
                 return finish("MaxIter")

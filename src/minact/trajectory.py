@@ -33,7 +33,8 @@ __all__ = [
     "FourierTrajectory", "SampledPath", "SineGrid", "HomotopySignature",
     "TrajectoryError", "SeedError", "WindingRefinementError",
     "sample", "evaluate_path", "uniform_positions", "h1_seminorm",
-    "winding_signature", "windings_of_closed_points", "min_distance_to",
+    "winding_signature", "refine_windings", "windings_of_closed_points",
+    "min_distance_to",
     "seed_curve", "poincare_check", "PoincareBounds",
     "write_trajectory_csv", "coeffs_to_dict", "trajectory_from_dict",
     "save_coeffs", "load_coeffs",
@@ -153,19 +154,17 @@ class SineGrid:
         z = drift*t + S @ B,    dz = drift + Cw @ B,
 
     and the coefficient gradient of a node sum of L(t, z, dz) is
-    S^T dL/dz + Cw^T dL/ddz.  Cw is left out (None) when velocity is
-    False, for callers that need positions only.
+    S^T dL/dz + Cw^T dL/ddz.
     """
 
-    def __init__(self, traj: FourierTrajectory, t: np.ndarray,
-                 velocity: bool = True):
+    def __init__(self, traj: FourierTrajectory, t: np.ndarray):
         self.t = t
         self.w = traj.frequencies()
         self.drift = traj.drift()
         self.z_drift = np.outer(t, self.drift)
         phases = np.outer(t, self.w)
         self.S = np.sin(phases)
-        self.Cw = np.cos(phases) * self.w if velocity else None
+        self.Cw = np.cos(phases) * self.w
 
     @classmethod
     def uniform(cls, traj: FourierTrajectory, M: int) -> "SineGrid":
@@ -194,7 +193,8 @@ class SineGrid:
 def evaluate_path(traj: FourierTrajectory, t) -> np.ndarray:
     """Positions z(t) for arbitrary times t; shape (len(t), dim)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    return SineGrid(traj, t, velocity=False).z(traj.coeffs)
+    return (np.outer(t, traj.drift())
+            + np.sin(np.outer(t, traj.frequencies())) @ traj.coeffs)
 
 
 def uniform_positions(traj: FourierTrajectory, M: int) -> np.ndarray:
@@ -301,7 +301,7 @@ def _compute_profile(traj: FourierTrajectory, s: SingularSet, M: int):
     e = a + inv * (b - a)
     w, drift, coeffs = traj.frequencies(), traj.drift(), traj.coeffs
 
-    def dist(tt):  # evaluate_path's arithmetic, no SineGrid per step
+    def dist(tt):  # evaluate_path's arithmetic, basis data hoisted
         return nearest_distances(
             s, np.outer(tt, drift) + np.sin(np.outer(tt, w)) @ coeffs)
 
@@ -336,19 +336,40 @@ def winding_signature(traj: FourierTrajectory, s: SingularSet,
                       M: int | None = None) -> HomotopySignature:
     """Winding numbers around the planar singular points plus clearance.
 
-    Windings are computed only when m = 2, n = 0 (closed planar curves);
-    the angle-increment criterion max |dtheta| < pi/2 is enforced for all
-    centers together by doubling the sample count up to a cap; a curve
-    whose clearance is zero to rounding is refused before any doubling.
-    min_distance and the clearance integral are computed for any
-    dimensions.  Computed once per (s, M) for a trajectory, so repeated
-    calls return the same object.
+    Windings are computed only when m = 2, n = 0 (closed planar curves),
+    by refine_windings from M nodes (its default when None) with at least
+    eight doublings and up to 2^20 nodes; a curve whose clearance is zero
+    to rounding is refused before any sampling.  min_distance and the
+    clearance integral are computed for any dimensions.  Computed once per
+    (s, M) for a trajectory, so repeated calls return the same object.
     """
-    if M is None:
-        M = max(16 * traj.N, 64)
-    M = int(M)
+    M = _winding_nodes(traj) if M is None else int(M)
     return traj._memoized(("signature", s, M),
                           lambda: _compute_signature(traj, s, M))
+
+
+def _winding_nodes(traj: FourierTrajectory) -> int:
+    return max(16 * traj.N, 64)  # the default winding grid
+
+
+def refine_windings(traj: FourierTrajectory, centers, doublings: int,
+                    M: int | None = None) -> dict:
+    """Windings about centers on M, 2M, ..., 2^doublings M uniform nodes.
+
+    M defaults to 16 nodes per mode, at least 64.  Each grid is sampled by
+    uniform_positions and classified by windings_of_closed_points; the
+    first grid that classifies gives the windings.  Raises
+    WindingRefinementError when none does.
+    """
+    M = _winding_nodes(traj) if M is None else M
+    for level in (M << k for k in range(doublings + 1)):
+        windings = windings_of_closed_points(uniform_positions(traj, level),
+                                             centers)
+        if windings is not None:
+            return windings
+    raise WindingRefinementError(
+        f"cannot classify the windings around {centers}: "
+        f"angle increments stay >= pi/2 at M = {level}")
 
 
 def _compute_signature(traj: FourierTrajectory, s: SingularSet,
@@ -366,18 +387,8 @@ def _compute_signature(traj: FourierTrajectory, s: SingularSet,
             raise WindingRefinementError(
                 f"cannot classify the windings around {centers}: the curve "
                 f"passes through the singular set (clearance {dist:.3e})")
-        cap = max(M * 256, 1 << 20)
-        level = M
-        while True:
-            windings = windings_of_closed_points(
-                uniform_positions(traj, level), centers)
-            if windings is not None:
-                break
-            if level >= cap:
-                raise WindingRefinementError(
-                    f"cannot classify the windings around {centers}: "
-                    f"angle increments stay >= pi/2 at M = {level}")
-            level *= 2
+        windings = refine_windings(
+            traj, centers, max(8, math.ceil(math.log2((1 << 20) / M))), M)
     # clearance integral against the fixed singular point nearest to the
     # curve, by the same uniform quadrature the action uses
     _, witness = nearest_singular(s, pts[int(np.argmin(d))])
@@ -432,7 +443,6 @@ def seed_curve(m_coils: int, s: SingularSet, omega: float,
         Mf *= 2
     proto = FourierTrajectory(omega=omega, nu=(), coeffs=np.zeros((N, 2)))
     t = proto.omega * np.arange(Mf) / Mf
-    grid = SineGrid(proto, t, velocity=False)
     half = t <= omega / 2.0
     theta = TWO_PI * m_coils * (2.0 * t / omega)
     zs = np.empty((Mf, 2))
@@ -445,10 +455,11 @@ def seed_curve(m_coils: int, s: SingularSet, omega: float,
     zs[~half] = -(r0[None, :] - np.outer(np.cos(theta_m), r0)
                   + rho * np.outer(np.sin(theta_m), p))
 
-    traj = proto.with_coeffs((2.0 / Mf) * (grid.S.T @ zs))
+    basis = np.sin(np.outer(t, proto.frequencies()))
+    traj = proto.with_coeffs((2.0 / Mf) * (basis.T @ zs))
 
     try:
-        sig = winding_signature(traj, s, M=max(16 * N, 256))
+        sig = winding_signature(traj, s)
     except WindingRefinementError as e:
         # the projection collapsed onto sigma; classification is impossible
         raise SeedError(f"projected seed cannot be classified ({e}); "

@@ -15,7 +15,7 @@ test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,20 +75,9 @@ class HypothesisReport:
     warnings: list
 
     def to_dict(self) -> dict:
-        return {
-            "parity_ok": dict(self.parity_ok),
-            "bound_g_ok": self.bound_g_ok,
-            "bound_a_ok": self.bound_a_ok,
-            "bound_V_ok": self.bound_V_ok,
-            "rank_ok": self.rank_ok,
-            "rank_min_sv": self.rank_min_sv,
-            "margin": self.margin,
-            "overall": self.overall,
-            "violated": list(self.violated),
-            "witnesses": {k: _witness_jsonable(v)
-                          for k, v in self.witnesses.items()},
-            "warnings": list(self.warnings),
-        }
+        return {**asdict(self),
+                "witnesses": {k: _witness_jsonable(v)
+                              for k, v in self.witnesses.items()}}
 
 
 def _witness_jsonable(w: dict) -> dict:
@@ -385,19 +374,9 @@ class ResidualReport:
     gram_warning: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "el_sup": self.el_sup,
-            "el_l2": self.el_l2,
-            "multipliers": (None if self.multipliers is None
-                            else [[float(v) for v in row]
-                                  for row in self.multipliers]),
-            "constraint_sup": self.constraint_sup,
-            "constraint_rate_sup": self.constraint_rate_sup,
-            "energy_drift": self.energy_drift,
-            "min_distance": self.min_distance,
-            "clearance_integral": self.clearance_integral,
-            "gram_warning": self.gram_warning,
-        }
+        return {**asdict(self),
+                "multipliers": (None if self.multipliers is None
+                                else self.multipliers.tolist())}
 
 
 def _el_residual_values(terms: LagrangianTerms, path) -> np.ndarray:
@@ -454,8 +433,8 @@ def recover_multipliers(J: np.ndarray, R: np.ndarray):
     return alpha, orth, warning
 
 
-def el_residual(model: ModelSpec, traj: FourierTrajectory, M: int,
-                terms: LagrangianTerms | None = None) -> ResidualReport:
+def el_residual(model: ModelSpec, traj: FourierTrajectory,
+                M: int) -> ResidualReport:
     """Euler-Lagrange residual report at M quadrature nodes.
 
     Unconstrained models report the raw residual norms; constrained
@@ -464,8 +443,7 @@ def el_residual(model: ModelSpec, traj: FourierTrajectory, M: int,
     multiplier samples, the constraint values, and the total time
     derivative of each constraint along the path.
     """
-    if terms is None:
-        terms = LagrangianTerms(model)
+    terms = LagrangianTerms(model)
     path = sample(traj, M)
     s = singular_set(model)
     if not s.is_empty():

@@ -188,13 +188,12 @@ def test_apriori_radius_requires_positive_margin():
 def test_lower_bound_invariant_on_tube_ball(rng):
     """S(z) + C1*omega >= margin*h1^2 - C*sqrt(omega)*h1 for 100 random z."""
     model = builtin("tube_ball")
-    terms = LagrangianTerms(model)
     k = model.constants
     for _ in range(100):
         traj = random_trajectory(rng, dim=2, N=5, omega=model.omega,
                                  nu=(int(rng.integers(-2, 3)),),
                                  scale=float(rng.uniform(0.1, 3.0)))
-        S = action(model, traj, 128, terms)
+        S = action(model, traj, 128)
         h1 = h1_seminorm(traj)
         bound = action_lower_bound(k, model.omega, h1)
         assert S + k.C1 * model.omega >= bound - 1e-9 * (1 + abs(S)), \

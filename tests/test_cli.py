@@ -10,7 +10,7 @@ import numpy as np
 
 from minact import cli, expr as ex
 from minact.cli import main
-from minact.model import GrowthConstants, ModelSpec, save_model
+from minact.model import GrowthConstants, ModelSpec, builtin, save_model
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,6 +132,19 @@ def test_solve_figure_eight_files(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "z1", "z2", "dz1", "dz2"]
     assert len(rows) == 1 + 512, f"expected 512 samples, got {len(rows) - 1}"
+
+
+def test_omega_and_nu_override_builtin_and_model_file(tmp_path):
+    """--omega and --nu set the period and the winding vector of a builtin
+    and of a model file alike; coeffs.json records both."""
+    save_model(builtin("tube_ball"), tmp_path / "tube.json")
+    for name, source in (("builtin", ["--builtin", "tube_ball"]),
+                         ("file", ["--model", tmp_path / "tube.json"])):
+        code = run_cli(["solve", *source, "--omega", 0.75, "--nu", 2,
+                        "--modes", 8, "--out", tmp_path / name])
+        assert code in (0, 6), name
+        coeffs = read_json(tmp_path / name / "coeffs.json")
+        assert coeffs["omega"] == 0.75 and coeffs["nu"] == [2], name
 
 
 def test_solve_diverged_exit_three(tmp_path, capsys):

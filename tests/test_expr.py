@@ -202,6 +202,19 @@ def test_constant_negative_base_fractional_power_is_domain_error():
         ex.evaluate(e, 0.0, np.array([-2.0]))
 
 
+def test_eval_overflow_is_domain_error_naming_the_subtree():
+    """exp and power overflow raise EvalDomainError on the overflowing
+    subtree, not on the whole expression."""
+    for text, message, subtree in (
+            ("z1 + exp(z1^2)", "exp overflow", "exp(z1^2)"),
+            ("1 + (2*z1)^400", "power overflow", "(2*z1)^400")):
+        e = ex.parse(text, 1)
+        with pytest.raises(ex.EvalDomainError) as err:
+            ex.evaluate(e, 0.0, np.array([30.0]))
+        assert err.value.node == ex.parse(subtree, 1)
+        assert str(err.value) == f"{message} in subexpression '{subtree}'"
+
+
 def test_to_text_negative_exponent_parses_back():
     e = ex.power(ex.var(1), -2.0)
     assert ex.parse(ex.to_text(e), 1) == e

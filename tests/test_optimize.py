@@ -319,6 +319,34 @@ def test_seed_domain_error_is_optimize_error():
         minimize(model, seed, SolveOptions(N=4))
 
 
+def test_line_search_rejects_candidates_outside_the_domain(monkeypatch):
+    """A candidate whose potential leaves its domain is rejected and the
+    step halved: V = 3 z1^2 + log(4 - z1^2) pulls the loop towards
+    |z1| = 2, where the log is undefined, and the solve converges inside."""
+    model = ModelSpec(m=1, n=0, omega=TWO_PI, nu=(), metric=[[ex.const(1.0)]],
+                      gyro=[ex.const(0.0)],
+                      potential=ex.parse("3*z1^2 + log(4 - z1^2)", 1),
+                      constants=GrowthConstants(C=0, M=0, A=3, K=0.5, P=0,
+                                                C1=math.log(4.0)))
+    seed = FourierTrajectory(TWO_PI, (), [[0.5]] + [[0.0]] * 7)
+    errors = []
+    original = _Objective.value_and_grad
+
+    def wrapped(self, b_flat, mu, z):
+        try:
+            return original(self, b_flat, mu, z)
+        except ex.EvalDomainError as err:
+            errors.append(str(err))
+            raise
+
+    monkeypatch.setattr(_Objective, "value_and_grad", wrapped)
+    res = minimize(model, seed, SolveOptions(N=8))
+    assert res.status == "Converged"
+    assert errors == ["log of nonpositive value in subexpression "
+                      "'log(4 - z1^2)'"] * 3
+    assert np.max(np.abs(sample(res.trajectory, 64).z)) < 2.0
+
+
 def test_winding_certificate_is_sound(rng):
     """The clearance bound of an iterate is below its refined clearance,
     and a step of total coefficient size below the bound, in a random
@@ -328,7 +356,7 @@ def test_winding_certificate_is_sound(rng):
     sigma = singular_set(model)
     opts = SolveOptions(N=16)
     seed = seed_curve(2, sigma, model.omega, opts.N)
-    obj = _Objective(model, seed, opts.M, LagrangianTerms(model), 256)
+    obj = _Objective(model, seed, opts.M)
     decay = 0.7 ** np.arange(opts.N)[:, None]
     checked = 0
     for _ in range(60):
@@ -384,20 +412,18 @@ def _reference_direction(memory, grad):
     """The two-loop recursion recomputing every rho = 1/(y.s) per call."""
     q = grad.copy()
     alphas = []
-    rhos = [1.0 / np.dot(y, s) for s, y in zip(memory.s, memory.y)]
-    for s, y, rho in zip(reversed(memory.s), reversed(memory.y),
-                         reversed(rhos)):
+    pairs = [(s, y, 1.0 / np.dot(y, s)) for s, y, _ in memory.pairs]
+    for s, y, rho in reversed(pairs):
         a = rho * np.dot(s, q)
         alphas.append(a)
         q -= a * y
-    if memory.s:
-        s, y = memory.s[-1], memory.y[-1]
+    if pairs:
+        s, y, _ = pairs[-1]
         gamma = np.dot(s, y) / np.dot(y, memory.d0 * y)
     else:
         gamma = 1.0
     q = gamma * (memory.d0 * q)
-    for (s, y, rho), a in zip(zip(memory.s, memory.y, rhos),
-                              reversed(alphas)):
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         beta = rho * np.dot(y, q)
         q += (a - beta) * s
     return -q
@@ -408,17 +434,22 @@ def test_lbfgs_direction_matches_recomputed_rho(rng):
     also after pairs are evicted, skipped and cleared."""
     n = 37
     memory = _LbfgsMemory(rng.uniform(0.1, 2.0, size=n))
+    kept = []
     for step in range(2 * LBFGS_PAIRS + 5):
         s = rng.normal(size=n)
         # mostly curvature-positive pairs; every seventh is skipped
         y = (-s if step % 7 == 3 else s * rng.uniform(0.5, 3.0, size=n)
              + 0.1 * rng.normal(size=n))
         memory.push(s, y)
-        assert len(memory.rho) == len(memory.s) <= LBFGS_PAIRS
+        if step % 7 != 3:
+            kept.append(s)
+        # the newest LBFGS_PAIRS accepted pairs, oldest first
+        assert ([id(p[0]) for p in memory.pairs]
+                == [id(s) for s in kept[-LBFGS_PAIRS:]])
         grad = rng.normal(size=n)
         assert np.array_equal(memory.direction(grad),
                               _reference_direction(memory, grad))
-    memory.clear()
+    memory.pairs.clear()
     grad = rng.normal(size=n)
     assert np.array_equal(memory.direction(grad),
                           _reference_direction(memory, grad))
@@ -430,8 +461,7 @@ def test_objective_builds_one_sine_grid(monkeypatch):
     model, opts = builtin("two_centers"), SolveOptions(N=48)
     seed = seed_curve(1, singular_set(model), model.omega, opts.N)
     grids = count_calls(monkeypatch, SineGrid, "__init__")
-    obj = _Objective(model, seed, opts.M, LagrangianTerms(model),
-                     16 * opts.N)
+    obj = _Objective(model, seed, opts.M)
     assert len(grids) == 1
     assert obj.windings(seed.coeffs.reshape(-1)) == winding_signature(
         seed, singular_set(model), M=16 * opts.N).windings

@@ -510,7 +510,7 @@ def test_uniform_positions_match_dense_sine_grid():
     """The inverse-FFT sample equals the dense basis on the same nodes,
     drift and aliased modes included, to 1e-13 of the curve's size."""
     for name, traj, M in _uniform_sample_cases():
-        grid = SineGrid(traj, traj.omega * np.arange(M) / M, velocity=False)
+        grid = SineGrid(traj, traj.omega * np.arange(M) / M)
         want = grid.z(traj.coeffs)
         got = uniform_positions(traj, M)
         assert got.shape == want.shape == (M, traj.dim), name

@@ -316,7 +316,7 @@ def test_el_residual_matches_action_gradient():
     M = 128  # large enough that rectangle quadrature is exact for these data
     for _ in range(20):
         traj = random_trajectory(rng, dim=2, N=4, scale=0.8)
-        grad = action_gradient(model, traj, M, terms)
+        grad = action_gradient(model, traj, M)
         path = sample(traj, M)
         resid = _el_residual_values(terms, path)
         S_mat = np.sin(np.outer(path.t, traj.frequencies()))
@@ -354,12 +354,12 @@ def test_el_residual_two_coil_n48_is_truncation_floor():
 
     floor = math.pi / 4 * np.max(np.abs(r[48]))
     assert floor > 1e-5, f"mode-49 floor {floor:.3e}"
-    el_sup = el_residual(model, res.trajectory, 512, terms).el_sup
+    el_sup = el_residual(model, res.trajectory, 512).el_sup
     assert el_sup >= floor, f"el_sup {el_sup:.3e} below floor {floor:.3e}"
 
     tight = solve_in_class(model, 2, SolveOptions(N=48, M=512,
                                                   grad_tol=1e-11))
-    tight_sup = el_residual(model, tight.trajectory, 512, terms).el_sup
+    tight_sup = el_residual(model, tight.trajectory, 512).el_sup
     assert abs(tight_sup - el_sup) < 5e-4 * el_sup, \
         f"el_sup {el_sup:.4e} -> {tight_sup:.4e} at grad_tol 1e-11"
 

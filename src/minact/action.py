@@ -112,10 +112,17 @@ class LagrangianTerms:
     a field evaluation computes each distinct subtree once per node array.
     """
 
+    @classmethod
+    def of(cls, model: ModelSpec) -> "LagrangianTerms":
+        """The model's terms, built on first use and kept on the model
+        instance outside its fields, so every caller shares one build; a
+        copy of the model (with_omega, replace) builds its own."""
+        if "_terms" not in model.__dict__:
+            object.__setattr__(model, "_terms", cls(model))
+        return model._terms
+
     def __init__(self, model: ModelSpec):
-        self.model = model
-        dim = model.dim
-        self.dim = dim
+        self.dim = dim = model.dim
         self.g = model.metric
         self.a = model.gyro
         self.V = model.potential
@@ -219,12 +226,6 @@ class LagrangianTerms:
     def metric_at(self, t, z) -> np.ndarray:
         return self.fields(t, z, "metric").G
 
-    def gyro_at(self, t, z) -> np.ndarray:
-        return self.fields(t, z, "gyro").a
-
-    def potential_at(self, t, z) -> np.ndarray:
-        return self.fields(t, z, "potential").V
-
     def lagrangian_at(self, path: SampledPath, fields: Fields) -> np.ndarray:
         """L at the nodes, from fields holding G, a and V; terms of the
         groups in self.zero are skipped (the sign of a zero may change)."""
@@ -264,7 +265,7 @@ class LagrangianTerms:
 
 def _nodes(model: ModelSpec, traj: FourierTrajectory, M: int, kind: str):
     """Guarded path, basis and one kind of fields at the M uniform nodes."""
-    terms = LagrangianTerms(model)
+    terms = LagrangianTerms.of(model)
     grid = SineGrid.uniform(traj, M)
     path = grid.path(traj.coeffs)
     if model.sigma_base:

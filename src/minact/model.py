@@ -23,6 +23,7 @@ omega is K - M*omega/sqrt(2) - A*omega^2/2 (see minact.action).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -548,32 +549,49 @@ def model_to_dict(model: ModelSpec) -> dict:
     }
 
 
-def model_from_dict(data: dict) -> ModelSpec:
-    """Build a ModelSpec from parsed model-file JSON."""
+def json_field(data, name: str, read, default=None, error=ModelError):
+    """read(data[name]) for one field of a parsed JSON file, or
+    read(default) when the field is absent and a default is given.
+
+    Data that is not a JSON object, a missing field, and a value that read
+    rejects with a TypeError, ValueError, AttributeError or KeyError raise
+    error, naming the field.
+    """
+    if not isinstance(data, dict):
+        raise error(f"expected a JSON object, got {type(data).__name__}")
+    if name not in data and default is None:
+        raise error(f"missing field {name!r}")
     try:
-        m = int(data["m"])
-        n = int(data["n"])
-        dim = m + n
-        metric = tuple(tuple(ex.parse(s, dim) for s in row)
-                       for row in data["metric"])
-        gyro = tuple(ex.parse(s, dim) for s in data.get("gyro", ["0"] * dim))
-        potential = ex.parse(data["potential"], dim)
-        constraints = tuple(
+        return read(data.get(name, default))
+    except (TypeError, ValueError, AttributeError, KeyError) as err:
+        raise error(f"field {name!r} is malformed: "
+                    f"{type(err).__name__}: {err}") from err
+
+
+def model_from_dict(data: dict) -> ModelSpec:
+    """Build a ModelSpec from parsed model-file JSON; a missing or
+    malformed field raises a ModelError naming it."""
+    field = functools.partial(json_field, data)
+    m, n = field("m", int), field("n", int)
+    dim = m + n
+
+    def exprs(texts):
+        return tuple(ex.parse(s, dim) for s in texts)
+
+    constants = field("constants", lambda kc: {
+        k: float(kc.get(k, 0.5 if k == "K" else 0.0))
+        for k in ("C", "M", "A", "K", "P", "C1")}, {})
+    return ModelSpec(
+        m=m, n=n, omega=field("omega", float),
+        nu=field("nu", lambda v: tuple(int(x) for x in v), []),
+        metric=field("metric", lambda rows: tuple(map(exprs, rows))),
+        gyro=field("gyro", exprs, ["0"] * dim),
+        potential=field("potential", lambda s: ex.parse(s, dim)),
+        constraints=field("constraints", lambda cs: tuple(
             Constraint(f=ex.parse(c["f"], dim), parity=c["parity"])
-            for c in data.get("constraints", []))
-        kc = data.get("constants", {})
-        constants = GrowthConstants(
-            C=float(kc.get("C", 0.0)), M=float(kc.get("M", 0.0)),
-            A=float(kc.get("A", 0.0)), K=float(kc.get("K", 0.5)),
-            P=float(kc.get("P", 0.0)), C1=float(kc.get("C1", 0.0)))
-        return ModelSpec(
-            m=m, n=n, omega=float(data["omega"]),
-            nu=tuple(int(v) for v in data.get("nu", [])),
-            metric=metric, gyro=gyro, potential=potential,
-            constraints=constraints, constants=constants,
-            sigma_base=tuple(tuple(p) for p in data.get("sigma", [])))
-    except KeyError as e:
-        raise ModelError(f"model file missing field {e.args[0]!r}")
+            for c in cs), []),
+        constants=GrowthConstants(**constants),
+        sigma_base=field("sigma", lambda ps: tuple(map(tuple, ps)), []))
 
 
 def load_model(path) -> ModelSpec:

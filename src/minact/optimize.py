@@ -115,7 +115,7 @@ class _Objective:
 
     def __init__(self, model: ModelSpec, proto: FourierTrajectory, M: int):
         self.proto = proto
-        self.terms = LagrangianTerms(model)
+        self.terms = LagrangianTerms.of(model)
         self.weight = model.omega / M
         self.sigma = singular_set(model)
         self.grid = SineGrid.uniform(proto, M)
@@ -224,6 +224,9 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
     if seed.N != opts.N:
         raise OptimizeError(
             f"seed has N = {seed.N} but options request N = {opts.N}")
+    if seed.dim != model.dim:
+        raise OptimizeError(f"seed has dimension {seed.dim} but the model "
+                            f"has dimension {model.dim}")
     if abs(seed.omega - model.omega) > 1e-12 * model.omega:
         raise OptimizeError("seed period differs from the model period")
     if seed.nu != model.nu:

@@ -20,14 +20,15 @@ Sobolev-type inequalities used by the a priori bounds.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import SingularSet, enumerate_planar, nearest_distances, \
-    nearest_singular
+from .model import SingularSet, enumerate_planar, json_field, \
+    nearest_distances, nearest_singular
 
 __all__ = [
     "FourierTrajectory", "SampledPath", "SineGrid", "HomotopySignature",
@@ -555,12 +556,17 @@ def coeffs_to_dict(traj: FourierTrajectory) -> dict:
 
 
 def trajectory_from_dict(data: dict) -> FourierTrajectory:
-    coeffs = np.asarray(data["coeffs"], dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[0] != int(data["N"]):
+    """A trajectory from parsed coefficient-file JSON; a missing or
+    malformed field raises a TrajectoryError naming it."""
+    field = functools.partial(json_field, data, error=TrajectoryError)
+    N = field("N", int)
+    coeffs = field("coeffs", lambda c: np.asarray(c, dtype=float))
+    if coeffs.ndim != 2 or coeffs.shape[0] != N:
         raise TrajectoryError("coeffs shape does not match N")
-    return FourierTrajectory(omega=float(data["omega"]),
-                             nu=tuple(int(v) for v in data.get("nu", [])),
-                             coeffs=coeffs)
+    return FourierTrajectory(
+        omega=field("omega", float),
+        nu=field("nu", lambda v: tuple(int(x) for x in v), []),
+        coeffs=coeffs)
 
 
 def save_coeffs(traj: FourierTrajectory, path) -> None:

@@ -218,7 +218,7 @@ def check_hypotheses(model: ModelSpec,
     rng = np.random.default_rng(sampler.rng_seed + 1)
     t, z = _draw_samples(model, sampler)
     k = model.constants
-    terms = LagrangianTerms(model)
+    terms = LagrangianTerms.of(model)
     s = singular_set(model)
     dim = model.dim
 
@@ -266,7 +266,7 @@ def check_hypotheses(model: ModelSpec,
     znorm = np.linalg.norm(z, axis=1)
     cap = k.C + k.M * znorm
     try:
-        a_vals = terms.gyro_at(t, z)  # (M, dim)
+        a_vals = terms.fields(t, z, "gyro").a  # (M, dim)
         slack = 1e-10 * (1.0 + cap)
         bad = np.abs(a_vals) > (cap + slack)[:, None]
         if np.any(bad):
@@ -282,7 +282,7 @@ def check_hypotheses(model: ModelSpec,
     # potential upper bound with the nearest singular translate
     bound_V_ok = True
     try:
-        V_vals = terms.potential_at(t, z)
+        V_vals = terms.fields(t, z, "potential").V
         if s.is_empty():
             bound = k.A * znorm ** 2 + k.C1
         else:
@@ -443,7 +443,7 @@ def el_residual(model: ModelSpec, traj: FourierTrajectory,
     multiplier samples, the constraint values, and the total time
     derivative of each constraint along the path.
     """
-    terms = LagrangianTerms(model)
+    terms = LagrangianTerms.of(model)
     path = sample(traj, M)
     s = singular_set(model)
     if not s.is_empty():
@@ -500,8 +500,7 @@ def energy_drift(model: ModelSpec, traj: FourierTrajectory,
     if not is_autonomous(model):
         raise VerifyError("energy drift is defined only for autonomous "
                           "models (an expression references t)")
-    terms = LagrangianTerms(model)
-    return _jacobi_drift(terms, sample(traj, M))
+    return _jacobi_drift(LagrangianTerms.of(model), sample(traj, M))
 
 
 def homotopy_equiv_sufficient(t1: FourierTrajectory,

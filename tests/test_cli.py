@@ -104,6 +104,33 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                     "--out", tmp_path]) == 1
 
 
+def test_malformed_input_files_exit_one(tmp_path, capsys):
+    """Model and seed files of the wrong shape give an error line naming
+    the problem, never a traceback."""
+    model = tmp_path / "model.json"
+    seed = tmp_path / "seed.json"
+    cases = [
+        (model, [], "JSON object"),
+        (model, {"m": 2, "n": 0, "omega": 1.0, "metric": 5,
+                 "potential": "0"}, "field 'metric'"),
+        (seed, {"omega": TWO_PI, "nu": [], "coeffs": [[1.0, 0.0]]},
+         "missing field 'N'"),
+        (seed, {"omega": TWO_PI, "nu": [], "N": 1, "coeffs": [[1.0]]},
+         "dimension 1"),
+        (seed, {"omega": TWO_PI, "nu": [], "N": 1,
+                "coeffs": [[0.0, 1.5, 0.0]]}, "dimension 3"),
+    ]
+    for path, data, message in cases:
+        path.write_text(json.dumps(data))
+        argv = (["check", "--model", path] if path == model else
+                ["solve", "--builtin", "two_centers", "--modes", 1,
+                 "--seed-file", path])
+        assert run_cli(argv + ["--out", tmp_path / "out"]) == 1, data
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err, err
+        assert "Traceback" not in err, err
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -300,5 +300,12 @@ def test_save_load_file(tmp_path):
 
 
 def test_model_from_dict_reports_bad_field():
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="missing field 'n'"):
         model_from_dict({"m": 1})
+    with pytest.raises(ModelError, match="JSON object"):
+        model_from_dict([])
+    data = model_to_dict(builtin("tube_ball"))
+    for name, bad in (("metric", 5), ("constants", [1.0]), ("nu", 1),
+                      ("constraints", [5]), ("omega", "fast")):
+        with pytest.raises(ModelError, match=f"field '{name}'"):
+            model_from_dict({**data, name: bad})

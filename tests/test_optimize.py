@@ -235,6 +235,18 @@ def test_minimize_rejects_seed_of_another_period_or_winding_vector():
                  SolveOptions(N=8))
 
 
+def test_minimize_rejects_seed_of_another_dimension():
+    """A seed with fewer or more coordinates than the model is refused
+    before any node is evaluated."""
+    model = builtin("two_centers")
+    for dim in (1, 3):
+        coeffs = np.zeros((8, dim))
+        coeffs[0, 0] = 1.5
+        with pytest.raises(OptimizeError, match="dimension"):
+            minimize(model, FourierTrajectory(model.omega, (), coeffs),
+                     SolveOptions(N=8))
+
+
 def test_seed_too_close_to_sigma_is_rejected():
     """A seed inside the guard ring is unusable."""
     model = shrinking_loop_model()

@@ -393,6 +393,15 @@ def test_trajectory_from_dict_validates_shape():
     with pytest.raises(TrajectoryError):
         trajectory_from_dict({"omega": 1.0, "nu": [], "N": 3,
                               "coeffs": [[1.0], [2.0]]})
+    with pytest.raises(TrajectoryError, match="missing field 'N'"):
+        trajectory_from_dict({"omega": 1.0, "nu": [],
+                              "coeffs": [[1.0], [2.0]]})
+    with pytest.raises(TrajectoryError, match="JSON object"):
+        trajectory_from_dict([[1.0], [2.0]])
+    for name, bad in (("omega", [1.0]), ("nu", 1), ("coeffs", [[1.0], 2])):
+        with pytest.raises(TrajectoryError, match=f"field '{name}'"):
+            trajectory_from_dict({"omega": 1.0, "nu": [], "N": 2,
+                                  "coeffs": [[1.0], [2.0]], name: bad})
 
 
 def test_coeffs_dict_fields():

@@ -2,13 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from minact import expr as ex
 from minact.model import (Constraint, GrowthConstants, ModelSpec, SingularSet,
-                          builtin, singular_set)
+                          builtin, model_to_dict, singular_set, with_omega)
 from minact.trajectory import FourierTrajectory, h1_seminorm, \
     min_distance_to, seed_curve, winding_signature
 from minact.action import LagrangianTerms, action_gradient, action_report
@@ -20,7 +21,7 @@ from minact.verify import (SamplerOptions, VerifyError, check_hypotheses,
                            _project_feasible)
 from minact.trajectory import sample
 
-from conftest import (constrained_planar_model, count_builds,
+from conftest import (constrained_planar_model, count_builds, count_calls,
                       free_drift_model, harmonic_model, random_trajectory,
                       reference_refine_feasible)
 
@@ -362,6 +363,42 @@ def test_el_residual_two_coil_n48_is_truncation_floor():
     tight_sup = el_residual(model, tight.trajectory, 512).el_sup
     assert abs(tight_sup - el_sup) < 5e-4 * el_sup, \
         f"el_sup {el_sup:.4e} -> {tight_sup:.4e} at grad_tol 1e-11"
+
+
+def test_surface_slide_el_sup_is_a_truncation_floor():
+    """surface_slide's one-coil residual at 48 modes is truncation, not a
+    defect: 256 modes cut el_sup by more than 100x (27.35 -> 0.127) while
+    the action has already settled (S(256) and S(384) differ by 1.1e-8)."""
+    model = builtin("surface_slide")
+    solved = {}
+    for N in (48, 256, 384):
+        res = solve_in_class(model, 1, SolveOptions(N=N))
+        assert res.status == "Converged", (N, res.status)
+        solved[N] = (res.report.S,
+                     el_residual(model, res.trajectory, 8 * N).el_sup)
+    assert solved[256][1] < solved[48][1] / 100, solved
+    assert abs(solved[256][0] - solved[384][0]) < 1e-5, solved
+
+
+def test_model_owns_one_compiled_terms(monkeypatch):
+    """Solve, residual, energy drift and check share the model's one
+    LagrangianTerms; a with_omega copy builds its own, and holding terms
+    changes neither the model's equality, hash, repr nor its file form."""
+    builds = count_calls(monkeypatch, LagrangianTerms, "__init__")
+    model = builtin("two_centers")
+    res = solve_in_class(model, 1, SolveOptions(N=16))
+    el_residual(model, res.trajectory, 128)
+    energy_drift(model, res.trajectory, 128)
+    check_hypotheses(model, SamplerOptions(count=50))
+    assert len(builds) == 1
+    assert LagrangianTerms.of(model) is builds[0][0]
+    other = with_omega(model, 5.0)
+    assert LagrangianTerms.of(other) is not LagrangianTerms.of(model)
+    assert len(builds) == 2
+    copy = replace(model)
+    assert copy == model and hash(copy) == hash(model)
+    assert repr(copy) == repr(model)
+    assert model_to_dict(copy) == model_to_dict(model)
 
 
 def test_el_residual_node_on_singular_set():

@@ -115,8 +115,9 @@ class LagrangianTerms:
     @classmethod
     def of(cls, model: ModelSpec) -> "LagrangianTerms":
         """The model's terms, built on first use and kept on the model
-        instance outside its fields, so every caller shares one build; a
-        copy of the model (with_omega, replace) builds its own."""
+        instance outside its fields, so every caller shares one build.
+        with_omega and with_nu copies share the original's terms when it
+        has them; a replace() copy builds its own."""
         if "_terms" not in model.__dict__:
             object.__setattr__(model, "_terms", cls(model))
         return model._terms
@@ -140,12 +141,13 @@ class LagrangianTerms:
         self.df = [[ex.differentiate(c.f, d + 1) for d in range(dim)]
                    for c in model.constraints]
         self.dtf = [ex.differentiate(c.f, 0) for c in model.constraints]
-        self._kinds = self._compile()
-        # all-Const-0 groups (no gyro, a constant metric): L, dL skip them
+        # all-Const-0 groups (no gyro, a constant metric): fields fills
+        # them with one np.zeros, and L, dL skip them
         self.zero = {g for g, trees in (
             ("a", self.a), ("dG", [e for m in self.dg for r in m for e in r]),
             ("da", [e for r in self.da for e in r]))
             if all(e == ex.ZERO for e in trees)}
+        self._kinds = self._compile()
 
     def _compile(self) -> dict:
         """kind -> (tape, (group, places) per root, groups it fills).
@@ -162,15 +164,18 @@ class LagrangianTerms:
             index.setdefault(group, []).append(len(entries))
             entries.append((group, tree, places))
 
-        # symmetric matrices are read from their upper triangle
+        def sym(i, j, *lead):
+            # symmetric matrices are read from their upper triangle
+            return [(*lead, n, i, j)] + ([(*lead, n, j, i)] if i != j else [])
+
         for i, j in upper:
-            add("G", self.g[i][j], (n, i, j), (n, j, i))
+            add("G", self.g[i][j], *sym(i, j))
         for i in range(dim):
             add("a", self.a[i], (n, i))
         add("V", self.V, (n,))
         for d in range(dim):
             for i, j in upper:
-                add("dG", self.dg[d][i][j], (d, n, i, j), (d, n, j, i))
+                add("dG", self.dg[d][i][j], *sym(i, j, d))
             for i in range(dim):
                 add("da", self.da[d][i], (d, n, i))
             add("dV", self.dV[d], (n, d))
@@ -179,7 +184,7 @@ class LagrangianTerms:
         index["dz"] = sorted(index.get("dG", []) + index.get("da", [])
                              + index.get("dV", []))
         for i, j in upper:
-            add("dtG", self.dtg[i][j], (n, i, j), (n, j, i))
+            add("dtG", self.dtg[i][j], *sym(i, j))
         for i in range(dim):
             add("dta", self.dta[i], (n, i))
         for j in range(l):
@@ -195,7 +200,9 @@ class LagrangianTerms:
             outputs = [h for g in groups
                        for h in (("dG", "da", "dV") if g == "dz" else (g,))]
             kinds[kind] = (tape.select(order),
-                           [(entries[k][0], entries[k][2]) for k in order],
+                           # a zero group's roots are stored nowhere
+                           [(entries[k][0], () if entries[k][0] in self.zero
+                             else entries[k][2]) for k in order],
                            outputs)
         return kinds
 
@@ -215,7 +222,8 @@ class LagrangianTerms:
                   "dG": (dim, M, dim, dim), "da": (dim, M, dim),
                   "dV": (M, dim), "dtG": (M, dim, dim), "dta": (M, dim),
                   "f": (M, l), "df": (M, l, dim), "dtf": (M, l)}
-        out = {g: np.empty(shapes[g]) for g in groups}
+        out = {g: (np.zeros if g in self.zero else np.empty)(shapes[g])
+               for g in groups}
         # a root free of t and z comes back a scalar and is broadcast by
         # the assignment, with the values tape.run would have filled in
         for (group, places), v in zip(targets, tape._values(t, z)):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .action import coercivity_margin
+from .action import LagrangianTerms, coercivity_margin
 from .expr import ExprError
 from .model import ModelError, ModelSpec, load_model, nearest_distances, \
     builtin, singular_set, with_nu, with_omega, BUILTIN_NAMES
@@ -229,6 +229,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     model = _model_from_args(args)
+    LagrangianTerms.of(model)  # built once; the with_omega copies share it
     omegas = [float(v) for v in str(args.omegas).split(",") if v.strip()]
     if not omegas:
         raise ValueError("--omegas must list at least one period")

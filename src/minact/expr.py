@@ -269,6 +269,9 @@ class _Tokenizer:
                     value = float(text[i:j])
                 except ValueError:
                     raise ParseError(f"bad number '{text[i:j]}'", i)
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"number '{text[i:j]}' is out of range", i)
                 self.tokens.append(("num", value, i))
                 i = j
                 continue
@@ -444,43 +447,61 @@ def evaluate(e: Expr, t, z):
 # Evaluation kernels: the value of node e from the values of its children.
 # Every tape instruction calls one of these, so every node is computed with
 # the same operations and the same domain checks wherever it appears.
+# Tape._values runs them under np.errstate(all="ignore").  A checked kernel
+# computes first and runs its checks only when the result is not finite:
+# each check's condition forces an inf or nan result, so the checks raise
+# exactly where checking first would, and one dot product settles the
+# common case.
+
+
+def _finite(v) -> bool:
+    """True when every entry of v is finite (a sum of squares that
+    overflows reads as not finite, which only sends v to the checks)."""
+    return math.isfinite(np.vdot(v, v))
 
 
 def _exp(e, a):
-    with np.errstate(over="ignore"):
-        v = np.exp(a)
-    if not np.isfinite(v).all():
+    v = np.exp(a)
+    if not _finite(v) and not np.isfinite(v).all():
         raise EvalDomainError("exp overflow", e)
     return v
 
 
 def _log(e, a):
-    if (np.asarray(a) <= 0.0).any():
+    v = np.log(a)
+    if not _finite(v) and (np.asarray(a) <= 0.0).any():
         raise EvalDomainError("log of nonpositive value", e)
-    return np.log(a)
+    return v
 
 
 def _sqrt(e, a):
-    if (np.asarray(a) < 0.0).any():
+    v = np.sqrt(a)
+    if not _finite(v) and (np.asarray(a) < 0.0).any():
         raise EvalDomainError("sqrt of negative value", e)
-    return np.sqrt(a)
+    return v
 
 
 def _divide(e, a, b):
-    if (np.asarray(b) == 0.0).any():
+    # through numpy, so that Python-float operands give inf, not an error
+    v = np.divide(a, b)
+    if not _finite(v) and (np.asarray(b) == 0.0).any():
         raise EvalDomainError("division by zero", e)
-    return a / b
+    return v
 
 
 def _power(e, a):
     a = np.asarray(a)
     c = e.exponent
-    if c != round(c) and (a < 0.0).any():
+    v = a ** c
+    # a . v, not v . v: a base of -inf under a negative fractional power
+    # gives 0, and only the product with the base shows it; an infinite
+    # exponent can give 0 from a negative base, so it is always checked
+    if math.isfinite(c) and math.isfinite(np.vdot(a, v)):
+        return v
+    if not float(c).is_integer() and (a < 0.0).any():
         raise EvalDomainError("negative base under fractional power", e)
     if c < 0 and (a == 0.0).any():
         raise EvalDomainError("zero base under negative power", e)
-    with np.errstate(over="ignore", divide="ignore"):
-        v = a ** c
     if not np.isfinite(v).all():
         raise EvalDomainError("power overflow", e)
     return v
@@ -600,11 +621,12 @@ class Tape:
         vals = self._leaves.copy()
         for slot, index in self._vars:
             vals[slot] = t if index == 0 else z[..., index - 1]
-        for slot, kernel, e, a, b in self._program:
-            if b < 0:
-                vals[slot] = kernel(e, vals[a])
-            else:
-                vals[slot] = kernel(e, vals[a], vals[b])
+        with np.errstate(all="ignore"):  # the kernels check their results
+            for slot, kernel, e, a, b in self._program:
+                if b < 0:
+                    vals[slot] = kernel(e, vals[a])
+                else:
+                    vals[slot] = kernel(e, vals[a], vals[b])
         return [vals[slot] for slot in self.roots]
 
 
@@ -724,7 +746,7 @@ def _level(e: Expr) -> int:
 
 
 def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):  # inf and nan fail the first test
         return str(int(v))
     return repr(v)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -150,7 +151,7 @@ class ModelSpec:
     sigma_base: tuple = ()
 
     def __post_init__(self):
-        m, n = int(self.m), int(self.n)
+        m, n = _count(self.m, "m"), _count(self.n, "n")
         if m < 0 or n < 0 or m + n < 1:
             raise ModelError("need m >= 0, n >= 0, m + n >= 1")
         object.__setattr__(self, "m", m)
@@ -159,7 +160,7 @@ class ModelSpec:
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ModelError("omega must be finite and > 0")
         object.__setattr__(self, "omega", float(self.omega))
-        nu = tuple(int(v) for v in self.nu)
+        nu = tuple(_count(v, "nu") for v in self.nu)
         if len(nu) != n:
             raise ModelError(f"nu must have length n = {n}")
         object.__setattr__(self, "nu", nu)
@@ -517,13 +518,24 @@ def builtin(name: str, **params) -> ModelSpec:
 
 
 def with_omega(model: ModelSpec, omega: float) -> ModelSpec:
-    """Copy of the model with a different period."""
-    return replace(model, omega=float(omega))
+    """Copy of the model with a different period; it shares the model's
+    compiled terms (see _sharing_terms)."""
+    return _sharing_terms(model, replace(model, omega=float(omega)))
 
 
 def with_nu(model: ModelSpec, nu) -> ModelSpec:
-    """Copy of the model with a different winding vector."""
-    return replace(model, nu=tuple(int(v) for v in nu))
+    """Copy of the model with a different winding vector; it shares the
+    model's compiled terms (see _sharing_terms)."""
+    return _sharing_terms(model, replace(model, nu=tuple(nu)))
+
+
+def _sharing_terms(model: ModelSpec, copy: ModelSpec) -> ModelSpec:
+    """copy, given the compiled terms that action.LagrangianTerms.of has
+    kept on model, if any: they read only dim and the expression trees,
+    which a change of omega or nu leaves alone."""
+    if "_terms" in model.__dict__:
+        object.__setattr__(copy, "_terms", model._terms)
+    return copy
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +561,23 @@ def model_to_dict(model: ModelSpec) -> dict:
     }
 
 
+def exact_int(value) -> int:
+    """value as an int, refusing what int() would truncate or coerce: a
+    bool, a string, or a number with a fractional part.  An integral
+    float such as 2.0 is accepted."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
+def _count(value, name: str) -> int:
+    try:
+        return exact_int(value)
+    except ValueError as err:
+        raise ModelError(f"{name} must be an integer: {err}") from None
+
+
 def json_field(data, name: str, read, default=None, error=ModelError):
     """read(data[name]) for one field of a parsed JSON file, or
     read(default) when the field is absent and a default is given.
@@ -572,7 +601,7 @@ def model_from_dict(data: dict) -> ModelSpec:
     """Build a ModelSpec from parsed model-file JSON; a missing or
     malformed field raises a ModelError naming it."""
     field = functools.partial(json_field, data)
-    m, n = field("m", int), field("n", int)
+    m, n = field("m", exact_int), field("n", exact_int)
     dim = m + n
 
     def exprs(texts):
@@ -583,7 +612,7 @@ def model_from_dict(data: dict) -> ModelSpec:
         for k in ("C", "M", "A", "K", "P", "C1")}, {})
     return ModelSpec(
         m=m, n=n, omega=field("omega", float),
-        nu=field("nu", lambda v: tuple(int(x) for x in v), []),
+        nu=field("nu", lambda v: tuple(map(exact_int, v)), []),
         metric=field("metric", lambda rows: tuple(map(exprs, rows))),
         gyro=field("gyro", exprs, ["0"] * dim),
         potential=field("potential", lambda s: ex.parse(s, dim)),

@@ -27,7 +27,7 @@ The run is fully deterministic: no randomness, fixed evaluation order.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +106,16 @@ class SolveResult:
         }
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a vector, bit for bit, without its dispatch."""
+    return math.sqrt(np.dot(x, x))
+
+
+def _row_norms(B: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(B, axis=1), bit for bit, without its dispatch."""
+    return np.sqrt((B * B).sum(axis=1))
+
+
 class _Objective:
     """Penalized action and gradient as functions of flat coefficients.
 
@@ -121,6 +131,7 @@ class _Objective:
         self.grid = SineGrid.uniform(proto, M)
         self.shape = proto.coeffs.shape
         self.sig_centers = tuple(enumerate_planar(self.sigma))
+        self.drift_speed = np.linalg.norm(self.grid.drift)
 
     def traj(self, b_flat: np.ndarray) -> FourierTrajectory:
         return self.proto.with_coeffs(b_flat.reshape(self.shape))
@@ -137,8 +148,8 @@ class _Objective:
         """Lower bound r_b on the distance from the curve b to sigma: every
         time lies within h/2 = omega/(2M) of a node, and the speed is at
         most |drift| + sum_k w_k |b_k|."""
-        speed = np.linalg.norm(self.grid.drift) + self.grid.w @ np.linalg.norm(
-            b_flat.reshape(self.shape), axis=1)
+        speed = self.drift_speed + self.grid.w @ _row_norms(
+            b_flat.reshape(self.shape))
         return ((1.0 - CERT_SLACK) * node_distance
                 - (1.0 + CERT_SLACK) * 0.5 * self.weight * float(speed))
 
@@ -169,43 +180,70 @@ class _Objective:
 
 
 class _LbfgsMemory:
-    """Two-loop L-BFGS with a fixed diagonal seed matrix.
+    """L-BFGS in compact form with a fixed diagonal seed matrix.
 
     The action's kinetic block is exactly diagonal in the sine basis with
-    entries ~ g * w_k^2 * omega/2, so seeding the recursion with the
-    inverse of that diagonal removes the O(N^2) conditioning that plain
-    identity seeding suffers from.
+    entries ~ g * w_k^2 * omega/2, so seeding the inverse Hessian with
+    H0 = gamma * D, D = diag(d0) the inverse of that diagonal, removes the
+    O(N^2) conditioning that plain identity seeding suffers from.
+
+    The k stored pairs are the rows of S and Y, oldest first.  With R the
+    upper triangle of S Y^T, the product H g is a few (k, n) and (k, k)
+    matrix products (Byrd, Nocedal and Schnabel, Math. Programming 63,
+    1994): push keeps R^-1, diag(S Y^T) and Y D Y^T current, and the
+    direction equals the two-loop recursion's up to rounding.
     """
 
     def __init__(self, diag_h0: np.ndarray):
         self.d0 = diag_h0
-        # (s, y, 1 / (y . s)) per stored pair, oldest first
-        self.pairs: deque = deque(maxlen=LBFGS_PAIRS)
+        n = len(diag_h0)
+        self.k = 0
+        self.S = np.empty((LBFGS_PAIRS, n))
+        self.Y = np.empty((LBFGS_PAIRS, n))
+        self.sy = np.empty(LBFGS_PAIRS)  # diag(S Y^T)
+        # the lower triangle of R^-1 is never written and stays zero
+        self.Rinv = np.zeros((LBFGS_PAIRS, LBFGS_PAIRS))
+        self.YDY = np.empty((LBFGS_PAIRS, LBFGS_PAIRS))
+
+    def __len__(self) -> int:
+        return self.k
+
+    def clear(self) -> None:
+        self.k = 0
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(np.dot(s, y))
-        if sy <= 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+        if sy <= 1e-10 * _norm(s) * _norm(y):
             return  # skip pairs that would break positive definiteness
-        self.pairs.append((s, y, 1.0 / sy))
+        k = self.k
+        if k == LBFGS_PAIRS:
+            # drop the oldest pair: R^-1 of the rest is the trailing block
+            k -= 1
+            for a in (self.S, self.Y, self.sy):
+                a[:k] = a[1:]
+            for a in (self.Rinv, self.YDY):
+                a[:k, :k] = a[1:, 1:]
+        # R gains the column (S y, s.y); R^-1 the column -R^-1 (S y) / s.y
+        self.Rinv[:k, k] = (self.Rinv[:k, :k] @ (self.S[:k] @ y)) / -sy
+        self.Rinv[k, k] = 1.0 / sy
+        dy = self.d0 * y
+        self.YDY[:k, k] = self.YDY[k, :k] = self.Y[:k] @ dy
+        self.YDY[k, k] = np.dot(y, dy)
+        self.S[k], self.Y[k], self.sy[k] = s, y, sy
+        self.k = k + 1
 
     def direction(self, grad: np.ndarray) -> np.ndarray:
-        # standard two-loop recursion, H0 = gamma * diag(d0)
-        q = grad.copy()
-        alphas = []
-        for s, y, rho in reversed(self.pairs):
-            a = rho * np.dot(s, q)
-            alphas.append(a)
-            q -= a * y
-        if self.pairs:
-            s, y, _ = self.pairs[-1]
-            gamma = np.dot(s, y) / np.dot(y, self.d0 * y)
-        else:
-            gamma = 1.0
-        q = gamma * (self.d0 * q)
-        for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
-            beta = rho * np.dot(y, q)
-            q += (a - beta) * s
-        return -q
+        """-H grad, with gamma = s.y / y.D y of the newest pair (1 with
+        no pairs)."""
+        dg = self.d0 * grad
+        k = self.k
+        if not k:
+            return -dg
+        S, Y, Rinv = self.S[:k], self.Y[:k], self.Rinv[:k, :k]
+        gamma = self.sy[k - 1] / self.YDY[k - 1, k - 1]
+        p = Rinv @ (S @ grad)
+        x = self.sy[:k] * p + gamma * (self.YDY[:k, :k] @ p - Y @ dg)
+        return -(gamma * (dg - self.d0 * (p @ Y)) + (x @ Rinv) @ S)
 
 
 def minimize(model: ModelSpec, seed: FourierTrajectory,
@@ -313,7 +351,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
         S, g = seed_eval if mu == 0.0 and seed_eval else evaluate(b, mu, z)
         retried_steepest = False
         while True:
-            gn = float(np.linalg.norm(g))
+            gn = _norm(g)
             history.append({
                 "iter": total_iter, "mu": mu, "S_mu": S,
                 "grad_norm": gn,
@@ -328,15 +366,14 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             if dgd >= 0.0:
                 direction = -g
                 dgd = -float(np.dot(g, g))
-                memory.pairs.clear()
-            if not memory.pairs:
+                memory.clear()
+            if not memory:
                 # first step of a phase: conservative scale
-                scale = 1.0 / max(1.0, float(np.linalg.norm(direction)))
+                scale = 1.0 / max(1.0, _norm(direction))
                 direction = direction * scale
                 dgd *= scale
             # a step of alpha moves no point of the curve beyond alpha*reach
-            reach = float(np.sum(np.linalg.norm(
-                direction.reshape(obj.shape), axis=1)))
+            reach = float(np.sum(_row_norms(direction.reshape(obj.shape))))
 
             alpha = 1.0
             reject_reason = "armijo"
@@ -386,10 +423,10 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                         f"expression domain error persisted through the "
                         f"line search at iteration {total_iter}: "
                         f"{domain_err}")
-                if memory.pairs and not retried_steepest:
+                if memory and not retried_steepest:
                     # Armijo stalled on the quasi-Newton direction; retry
                     # once from plain steepest descent before giving up
-                    memory.pairs.clear()
+                    memory.clear()
                     retried_steepest = True
                     continue
                 return finish("MaxIter")

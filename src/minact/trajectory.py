@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import SingularSet, enumerate_planar, json_field, \
+from .model import SingularSet, enumerate_planar, exact_int, json_field, \
     nearest_distances, nearest_singular
 
 __all__ = [
@@ -456,8 +456,9 @@ def seed_curve(m_coils: int, s: SingularSet, omega: float,
     zs[~half] = -(r0[None, :] - np.outer(np.cos(theta_m), r0)
                   + rho * np.outer(np.sin(theta_m), p))
 
-    basis = np.sin(np.outer(t, proto.frequencies()))
-    traj = proto.with_coeffs((2.0 / Mf) * (basis.T @ zs))
+    # b_k = (2/Mf) sum_i sin(2 pi k i / Mf) zs_i, the sine projection
+    traj = proto.with_coeffs(
+        (-2.0 / Mf) * np.fft.rfft(zs, axis=0).imag[1:N + 1])
 
     try:
         sig = winding_signature(traj, s)
@@ -559,13 +560,13 @@ def trajectory_from_dict(data: dict) -> FourierTrajectory:
     """A trajectory from parsed coefficient-file JSON; a missing or
     malformed field raises a TrajectoryError naming it."""
     field = functools.partial(json_field, data, error=TrajectoryError)
-    N = field("N", int)
+    N = field("N", exact_int)
     coeffs = field("coeffs", lambda c: np.asarray(c, dtype=float))
     if coeffs.ndim != 2 or coeffs.shape[0] != N:
         raise TrajectoryError("coeffs shape does not match N")
     return FourierTrajectory(
         omega=field("omega", float),
-        nu=field("nu", lambda v: tuple(int(x) for x in v), []),
+        nu=field("nu", lambda v: tuple(map(exact_int, v)), []),
         coeffs=coeffs)
 
 

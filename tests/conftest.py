@@ -128,14 +128,16 @@ def reference_evaluate(e, t, z):
     """Tree-walk evaluation of one tree: the reference for compiled tapes.
 
     Visits every node, shared subtrees once per occurrence, with the
-    kernels of minact.expr; takes and returns what ex.evaluate does and
-    raises the same EvalDomainError.
+    kernels of minact.expr under the tape's np.errstate(all="ignore");
+    takes and returns what ex.evaluate does and raises the same
+    EvalDomainError.
     """
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=float)
     if t.ndim == 0 and z.ndim == 2:
         t = np.full(z.shape[0], float(t))
-    out = _walk(e, t, z)
+    with np.errstate(all="ignore"):
+        out = _walk(e, t, z)
     if t.ndim == 0:
         return float(np.asarray(out))
     if np.ndim(out) == 0:

@@ -9,8 +9,10 @@ import sys
 import numpy as np
 
 from minact import cli, expr as ex
+from minact.action import LagrangianTerms
 from minact.cli import main
 from minact.model import GrowthConstants, ModelSpec, builtin, save_model
+from conftest import count_calls
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,6 +131,19 @@ def test_malformed_input_files_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error: " in err and message in err, err
         assert "Traceback" not in err, err
+
+
+def test_non_finite_exponent_exits_one(tmp_path, capsys):
+    """A potential z1^1e999 (an infinite exponent) is refused with an
+    error line naming the number, never a traceback."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"m": 1, "n": 0, "omega": 1.0,
+                                 "metric": [["1"]], "potential": "z1^1e999"}))
+    assert run_cli(["check", "--model", model, "--out", tmp_path / "out"]) \
+        == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "1e999" in err, err
+    assert "Traceback" not in err, err
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +274,15 @@ def test_solve_history_file(tmp_path):
 # sweep
 
 
-def test_sweep_summary_csv(tmp_path, capsys):
-    """A sweep with converged rows exits 0 and tabulates per-period data."""
+def test_sweep_summary_csv(tmp_path, capsys, monkeypatch):
+    """A sweep with converged rows exits 0 and tabulates per-period data;
+    its periods share one compiled LagrangianTerms."""
+    builds = count_calls(monkeypatch, LagrangianTerms, "__init__")
     code = run_cli(["sweep", "--builtin", "two_centers", "--coils", 1,
                     "--modes", 16, "--omegas",
                     f"{TWO_PI!r},{math.pi!r}", "--out", tmp_path])
     assert code == 0
+    assert len(builds) == 1
     with open(tmp_path / "summary.csv", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["omega", "status", "S", "h1", "el_sup", "min_distance"]

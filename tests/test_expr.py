@@ -304,3 +304,110 @@ def test_tape_keeps_signed_zeros_apart():
     assert np.all(np.signbit(got_neg))
     assert np.array_equal(np.signbit(got_neg),
                           np.signbit(reference_evaluate(neg, np.zeros(2), z)))
+
+
+# ---------------------------------------------------------------------------
+# checked kernels
+
+
+def _check_first_kernels():
+    """The checked kernels as they were before they checked only on a
+    non-finite result: every check runs before the value is computed.
+    The references the result-first kernels must equal; the power kernel
+    tests integrality with float(c).is_integer(), as round(c) fails for an
+    infinite exponent."""
+
+    def exp_(e, a):
+        with np.errstate(over="ignore"):
+            v = np.exp(a)
+        if not np.isfinite(v).all():
+            raise ex.EvalDomainError("exp overflow", e)
+        return v
+
+    def log_(e, a):
+        if (np.asarray(a) <= 0.0).any():
+            raise ex.EvalDomainError("log of nonpositive value", e)
+        return np.log(a)
+
+    def sqrt_(e, a):
+        if (np.asarray(a) < 0.0).any():
+            raise ex.EvalDomainError("sqrt of negative value", e)
+        return np.sqrt(a)
+
+    def divide_(e, a, b):
+        if (np.asarray(b) == 0.0).any():
+            raise ex.EvalDomainError("division by zero", e)
+        return a / b
+
+    def power_(e, a):
+        a = np.asarray(a)
+        c = e.exponent
+        if not float(c).is_integer() and (a < 0.0).any():
+            raise ex.EvalDomainError(
+                "negative base under fractional power", e)
+        if c < 0 and (a == 0.0).any():
+            raise ex.EvalDomainError("zero base under negative power", e)
+        with np.errstate(over="ignore", divide="ignore"):
+            v = a ** c
+        if not np.isfinite(v).all():
+            raise ex.EvalDomainError("power overflow", e)
+        return v
+
+    return {ex._exp: exp_, ex._log: log_, ex._sqrt: sqrt_,
+            ex._divide: divide_, ex._power: power_}
+
+
+def _outcome(kernel, e, *args):
+    """("value", bits and shape) or ("error", type, message, node) of one
+    kernel call under the tape's errstate."""
+    try:
+        with np.errstate(all="ignore"):
+            v = kernel(e, *args)
+    except ex.EvalDomainError as err:
+        return "error", type(err), str(err), err.node
+    v = np.asarray(v, dtype=float)
+    return "value", v.shape, v.tobytes()
+
+
+def test_checked_kernels_equal_check_first_kernels():
+    """On signed zeros, negatives, nan, inf, huge values and Python-float
+    operands, every checked kernel returns the bits the check-first kernel
+    returns, or raises the same error with the same message and node."""
+    special = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, 1e200, -1e200,
+               700.0, 710.0, math.nan, math.inf, -math.inf]
+    arrays = [np.array([v, 1.5]) for v in special] + [np.array(special)]
+    # Python floats as well as arrays, as constant leaves give
+    operands = special + arrays
+    x = ex.var(1)
+    checked = 0
+    for kernel, reference in _check_first_kernels().items():
+        if kernel is ex._divide:
+            e = ex.Binary("/", x, ex.var(2))
+            calls = [(a, b) for a in operands for b in operands
+                     if np.ndim(a) == 0 or np.ndim(b) == 0
+                     or np.shape(a) == np.shape(b)]
+            calls = [(e, a, b) for a, b in calls]
+        elif kernel is ex._power:
+            calls = [(ex.Power(x, c), a) for a in operands
+                     for c in (2.0, 3.0, -1.0, -2.0, 0.5, -0.5, 1.5, -0.75,
+                               400.0, 0.0, math.inf, -math.inf, math.nan)]
+        else:
+            op = {ex._exp: "exp", ex._log: "log", ex._sqrt: "sqrt"}[kernel]
+            calls = [(ex.Unary(op, x), a) for a in operands]
+        for args in calls:
+            assert _outcome(kernel, *args) == _outcome(reference, *args), \
+                (kernel.__name__, args)
+            checked += 1
+    assert checked > 1000
+
+
+def test_non_finite_number_literal_is_a_parse_error():
+    """1e999 reads as inf: the parser refuses it, and a Power node with an
+    infinite exponent is a domain error, not an OverflowError."""
+    for text in ("z1^1e999", "1e999*z1", "z1 - 2e400"):
+        with pytest.raises(ex.ParseError, match="out of range"):
+            ex.parse(text, 1)
+    e = ex.Power(ex.var(1), math.inf)
+    assert ex.evaluate(e, 0.0, [0.5]) == 0.0
+    with pytest.raises(ex.EvalDomainError, match="fractional power"):
+        ex.evaluate(e, 0.0, [-0.5])

@@ -264,6 +264,25 @@ def test_with_omega_and_with_nu():
     assert m3.nu == (4,) and m3.omega == m.omega
 
 
+def test_counts_must_be_integers():
+    """A count that int() would truncate (a fraction, a bool) is refused
+    with an error naming the field; an integral float is accepted."""
+    data = model_to_dict(builtin("tube_ball"))
+    for name, bad in (("m", 1.7), ("n", True), ("nu", [1.5]),
+                      ("nu", [False]), ("m", math.inf)):
+        with pytest.raises(ModelError, match=f"field '{name}'"):
+            model_from_dict({**data, name: bad})
+    same = model_from_dict({**data, "m": 1.0, "n": 1.0, "nu": [1.0]})
+    assert (same.m, same.n, same.nu) == (1, 1, (1,))
+    assert all(type(v) is int for v in (same.m, same.n) + same.nu)
+    m = builtin("tube_ball")
+    with pytest.raises(ModelError, match="nu"):
+        with_nu(m, (1.5,))
+    with pytest.raises(ModelError, match="m"):
+        ModelSpec(m=1.2, n=1, omega=1.0, nu=(1,), metric=m.metric,
+                  gyro=m.gyro, potential=m.potential)
+
+
 def test_json_round_trip_evaluates_identically(rng):
     """Serialize, rebuild, and compare every expression on random points."""
     m = builtin("tube_ball", m=2.0, J=0.5, g=3.0, omega=0.8, nu=(2,))

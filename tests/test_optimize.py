@@ -420,51 +420,57 @@ def test_winding_certificate_replaces_grid_checks_only(monkeypatch):
     assert res.history == ref.history
 
 
-def _reference_direction(memory, grad):
-    """The two-loop recursion recomputing every rho = 1/(y.s) per call."""
+def _two_loop_direction(pairs, d0, grad):
+    """The two-loop recursion over (s, y) pairs, oldest first, with
+    H0 = gamma * diag(d0): the reference for the compact form."""
     q = grad.copy()
     alphas = []
-    pairs = [(s, y, 1.0 / np.dot(y, s)) for s, y, _ in memory.pairs]
-    for s, y, rho in reversed(pairs):
-        a = rho * np.dot(s, q)
+    for s, y in reversed(pairs):
+        a = np.dot(s, q) / np.dot(y, s)
         alphas.append(a)
         q -= a * y
+    gamma = 1.0
     if pairs:
-        s, y, _ = pairs[-1]
-        gamma = np.dot(s, y) / np.dot(y, memory.d0 * y)
-    else:
-        gamma = 1.0
-    q = gamma * (memory.d0 * q)
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        beta = rho * np.dot(y, q)
-        q += (a - beta) * s
+        s, y = pairs[-1]
+        gamma = np.dot(s, y) / np.dot(y, d0 * y)
+    q = gamma * (d0 * q)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        q += (a - np.dot(y, q) / np.dot(y, s)) * s
     return -q
 
 
-def test_lbfgs_direction_matches_recomputed_rho(rng):
-    """Storing rho at push time leaves every direction bit for bit equal,
-    also after pairs are evicted, skipped and cleared."""
+def test_lbfgs_compact_direction_matches_two_loop(rng):
+    """The compact-form direction equals the two-loop recursion's to
+    rounding, keeps the newest LBFGS_PAIRS accepted pairs through
+    evictions, skipped pairs and clear(), and is exactly -d0*g with no
+    pairs."""
     n = 37
-    memory = _LbfgsMemory(rng.uniform(0.1, 2.0, size=n))
+    d0 = rng.uniform(0.1, 2.0, size=n)
+    memory = _LbfgsMemory(d0)
     kept = []
-    for step in range(2 * LBFGS_PAIRS + 5):
+    for step in range(3 * LBFGS_PAIRS + 5):
+        if step == 2 * LBFGS_PAIRS:
+            memory.clear()
+            kept.clear()
         s = rng.normal(size=n)
         # mostly curvature-positive pairs; every seventh is skipped
         y = (-s if step % 7 == 3 else s * rng.uniform(0.5, 3.0, size=n)
              + 0.1 * rng.normal(size=n))
         memory.push(s, y)
         if step % 7 != 3:
-            kept.append(s)
-        # the newest LBFGS_PAIRS accepted pairs, oldest first
-        assert ([id(p[0]) for p in memory.pairs]
-                == [id(s) for s in kept[-LBFGS_PAIRS:]])
+            kept.append((s, y))
+        pairs = kept[-LBFGS_PAIRS:]
+        assert len(memory) == len(pairs)
+        assert np.array_equal(memory.S[:len(memory)], [p[0] for p in pairs])
+        assert np.array_equal(memory.Y[:len(memory)], [p[1] for p in pairs])
         grad = rng.normal(size=n)
-        assert np.array_equal(memory.direction(grad),
-                              _reference_direction(memory, grad))
-    memory.pairs.clear()
+        want = _two_loop_direction(pairs, d0, grad)
+        got = memory.direction(grad)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    memory.clear()
+    assert len(memory) == 0
     grad = rng.normal(size=n)
-    assert np.array_equal(memory.direction(grad),
-                          _reference_direction(memory, grad))
+    assert np.array_equal(memory.direction(grad), -d0 * grad)
 
 
 def test_objective_builds_one_sine_grid(monkeypatch):

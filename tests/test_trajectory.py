@@ -289,6 +289,31 @@ def test_seed_curve_two_coils():
     assert sig.windings == {(1.0, 0.0): -2, (-1.0, 0.0): 2}
 
 
+def test_seed_curve_projection_matches_dense_sine_table(monkeypatch):
+    """The rfft projection equals the dense sine-table projection of the
+    same fine-grid samples to rounding, and the seed keeps its windings."""
+    s = singular_set(builtin("two_centers"))
+    samples = []
+    rfft = np.fft.rfft
+
+    def recorded(a, *args, **kwargs):
+        samples.append(np.array(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recorded)
+    for coils, N in ((1, 16), (2, 32), (3, 64)):
+        samples.clear()
+        traj = seed_curve(coils, s, TWO_PI, N)
+        (zs,) = samples
+        Mf = len(zs)
+        t = TWO_PI * np.arange(Mf) / Mf
+        dense = (2.0 / Mf) * (np.sin(np.outer(t, traj.frequencies())).T @ zs)
+        assert np.max(np.abs(traj.coeffs - dense)) <= 1e-13
+        dense_sig = winding_signature(traj.with_coeffs(dense), s)
+        assert winding_signature(traj, s).windings == dense_sig.windings \
+            == {(1.0, 0.0): -coils, (-1.0, 0.0): coils}
+
+
 def test_seed_curve_too_few_modes():
     """One sine mode cannot hold a loop around r0: the projection collides."""
     s = singular_set(builtin("two_centers"))
@@ -398,10 +423,14 @@ def test_trajectory_from_dict_validates_shape():
                               "coeffs": [[1.0], [2.0]]})
     with pytest.raises(TrajectoryError, match="JSON object"):
         trajectory_from_dict([[1.0], [2.0]])
-    for name, bad in (("omega", [1.0]), ("nu", 1), ("coeffs", [[1.0], 2])):
+    for name, bad in (("omega", [1.0]), ("nu", 1), ("coeffs", [[1.0], 2]),
+                      ("N", 2.5), ("N", True), ("nu", [0.5])):
         with pytest.raises(TrajectoryError, match=f"field '{name}'"):
             trajectory_from_dict({"omega": 1.0, "nu": [], "N": 2,
                                   "coeffs": [[1.0], [2.0]], name: bad})
+    traj = trajectory_from_dict({"omega": 1.0, "nu": [], "N": 2.0,
+                                 "coeffs": [[1.0], [2.0]]})
+    assert traj.N == 2
 
 
 def test_coeffs_dict_fields():

@@ -9,7 +9,8 @@ import pytest
 
 from minact import expr as ex
 from minact.model import (Constraint, GrowthConstants, ModelSpec, SingularSet,
-                          builtin, model_to_dict, singular_set, with_omega)
+                          builtin, model_to_dict, singular_set, with_nu,
+                          with_omega)
 from minact.trajectory import FourierTrajectory, h1_seminorm, \
     min_distance_to, seed_curve, winding_signature
 from minact.action import LagrangianTerms, action_gradient, action_report
@@ -382,8 +383,9 @@ def test_surface_slide_el_sup_is_a_truncation_floor():
 
 def test_model_owns_one_compiled_terms(monkeypatch):
     """Solve, residual, energy drift and check share the model's one
-    LagrangianTerms; a with_omega copy builds its own, and holding terms
-    changes neither the model's equality, hash, repr nor its file form."""
+    LagrangianTerms; so do with_omega and with_nu copies, while a replace
+    that changes a tree builds its own, and holding terms changes neither
+    the model's equality, hash, repr nor its file form."""
     builds = count_calls(monkeypatch, LagrangianTerms, "__init__")
     model = builtin("two_centers")
     res = solve_in_class(model, 1, SolveOptions(N=16))
@@ -392,8 +394,11 @@ def test_model_owns_one_compiled_terms(monkeypatch):
     check_hypotheses(model, SamplerOptions(count=50))
     assert len(builds) == 1
     assert LagrangianTerms.of(model) is builds[0][0]
-    other = with_omega(model, 5.0)
-    assert LagrangianTerms.of(other) is not LagrangianTerms.of(model)
+    other = with_nu(with_omega(model, 5.0), ())
+    assert LagrangianTerms.of(other) is LagrangianTerms.of(model)
+    assert len(builds) == 1
+    changed = replace(model, potential=ex.parse("z1^2 + z2^2", 2))
+    assert LagrangianTerms.of(changed) is not LagrangianTerms.of(model)
     assert len(builds) == 2
     copy = replace(model)
     assert copy == model and hash(copy) == hash(model)

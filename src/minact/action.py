@@ -28,6 +28,7 @@ inside an a priori radius computable from any reference action value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -67,6 +68,8 @@ class Fields(NamedTuple):
     dtG (M, dim, dim), dta (M, dim): derivatives in t.
     f (M, l), df (M, l, dim), dtf (M, l): constraint values, gradients in
     z and derivatives in t.
+    L (M,): the Lagrangian; dL (2, M, dim): dL/dz^d in dL[0], dL/ddz^d in
+    dL[1].
     """
 
     G: np.ndarray | None = None
@@ -80,6 +83,8 @@ class Fields(NamedTuple):
     f: np.ndarray | None = None
     df: np.ndarray | None = None
     dtf: np.ndarray | None = None
+    L: np.ndarray | None = None
+    dL: np.ndarray | None = None
 
 
 # The groups of trees each kind of field evaluation computes, in the order
@@ -88,10 +93,11 @@ class Fields(NamedTuple):
 # evaluates no tree it does not use; where several trees leave their domain
 # at once, the first in this order names the EvalDomainError.  "dz" is dG,
 # da and dV interleaved per coordinate, the order of the action gradient.
+# The last four kinds run the Lagrangian program: the model trees its roots
+# are built from come first and are stored nowhere; L, dL and f, df, from
+# the first program group on, are stored.  The program's own operations
+# are +, - and *, which never leave their domain.
 _KINDS = {
-    "objective": ("G", "a", "V", "dz"),
-    "lagrangian": ("G", "a", "V"),
-    "gradient": ("G", "a", "dz"),
     "residual": ("G", "dG", "dtG", "da", "dta", "dV"),
     "energy": ("G", "V"),
     "metric": ("G",),
@@ -100,16 +106,23 @@ _KINDS = {
     "constraints": ("f",),
     "constraint_jacobian": ("df",),
     "constraint_rate": ("dtf",),
+    "action": ("G", "a", "V", "L"),
+    "gradient": ("G", "a", "dz", "dL"),
+    "objective": ("G", "a", "V", "dz", "L", "dL"),
+    "penalized": ("G", "a", "V", "dz", "L", "dL", "f", "df"),
 }
+_PROGRAM = ("L", "dL")
 
 
 class LagrangianTerms:
     """Derivative trees of the model data, built once and reused.
 
     Holds g_ij, a_i, V, the constraint functions, and their first
-    derivatives in t and every coordinate, as evaluatable trees.  All of
-    them are compiled into one expression tape (minact.expr.compile), so
-    a field evaluation computes each distinct subtree once per node array.
+    derivatives in t and every coordinate, as evaluatable trees.  They
+    are compiled into one expression tape (minact.expr.compile), so a
+    field evaluation computes each distinct subtree once per node array.
+    The Lagrangian program, which adds L and its partial derivatives as
+    roots, is compiled into a second tape on first use.
     """
 
     @classmethod
@@ -142,17 +155,49 @@ class LagrangianTerms:
                    for c in model.constraints]
         self.dtf = [ex.differentiate(c.f, 0) for c in model.constraints]
         # all-Const-0 groups (no gyro, a constant metric): fields fills
-        # them with one np.zeros, and L, dL skip them
+        # them with one np.zeros
         self.zero = {g for g, trees in (
             ("a", self.a), ("dG", [e for m in self.dg for r in m for e in r]),
             ("da", [e for r in self.da for e in r]))
             if all(e == ex.ZERO for e in trees)}
-        self._kinds = self._compile()
+        self._kinds = self._compile(False)
 
-    def _compile(self) -> dict:
-        """kind -> (tape, (group, places) per root, groups it fills).
+    @functools.cached_property
+    def program(self):
+        """The roots (L, dL/dz, dL/ddz) of the Lagrangian program.
 
-        Every tree goes into one tape; each kind runs a selection of it.
+        The velocity dz^i is Var(dim + i), so they evaluate on [z | dz];
+        with p_i = sum_j g_ij dz^j, L = sum_i dz^i (p_i/2 + a_i) - V,
+        dL/ddz^i = p_i + a_i, and dL/dz^d is L with g, a and V replaced
+        by their derivatives in z^d (docs/expr-grammar.md).
+        """
+        dim = self.dim
+        v = [ex.Var(dim + i) for i in range(1, dim + 1)]
+
+        def contract(g, a, V):
+            # (sum_i dz^i (p_i/2 + a_i) - V, [p_i + a_i])
+            total, partial = ex.ZERO, []
+            for i in range(dim):
+                p = ex.ZERO
+                for j in range(dim):
+                    p = ex.add(p, ex.mul(g[i][j], v[j]))
+                total = ex.add(total, ex.mul(
+                    v[i], ex.add(ex.mul(ex.const(0.5), p), a[i])))
+                partial.append(ex.add(p, a[i]))
+            return ex.sub(total, V), partial
+
+        L, dLdv = contract(self.g, self.a, self.V)
+        return L, tuple(contract(self.dg[d], self.da[d], self.dV[d])[0]
+                        for d in range(dim)), tuple(dLdv)
+
+    @functools.cached_property
+    def _program_kinds(self) -> dict:
+        return self._compile(True)
+
+    def _compile(self, program: bool) -> dict:
+        """kind -> (tape, (group, places) per root, groups it stores), for
+        the kinds of _KINDS that run the Lagrangian program or for the
+        others.  The trees go into one tape; each kind runs a selection.
         """
         dim, l = self.dim, len(self.f)
         n = slice(None)  # the node axis
@@ -192,36 +237,43 @@ class LagrangianTerms:
             add("dtf", self.dtf[j], (n, j))
             for d in range(dim):
                 add("df", self.df[j][d], (n, j, d))
+        if program:
+            L, dLdz, dLdv = self.program
+            add("L", L, (n,))
+            for k, tree in enumerate(dLdz + dLdv):
+                add("dL", tree, (k // dim, n, k % dim))
 
         tape = ex.compile([tree for _, tree, _ in entries])
-        kinds = {}
+        compiled = {}
         for kind, groups in _KINDS.items():
+            first = [groups.index(g) for g in _PROGRAM if g in groups]
+            if bool(first) != program:
+                continue
             order = [k for g in groups for k in index.get(g, [])]
-            outputs = [h for g in groups
-                       for h in (("dG", "da", "dV") if g == "dz" else (g,))]
-            kinds[kind] = (tape.select(order),
-                           # a zero group's roots are stored nowhere
-                           [(entries[k][0], () if entries[k][0] in self.zero
-                             else entries[k][2]) for k in order],
-                           outputs)
-        return kinds
+            stored = groups[min(first, default=0):]
+            compiled[kind] = (
+                tape.select(order),
+                # the model trees of the program and a zero group's roots
+                # are stored nowhere
+                [(g, () if g not in stored or g in self.zero else places)
+                 for g, _, places in map(entries.__getitem__, order)],
+                stored)
+        return compiled
 
     # -- field evaluation on sampled nodes --------------------------------
 
-    def fields(self, t, z, kind: str = "objective") -> Fields:
-        """Evaluate one kind of fields at node arrays in one tape run.
-
-        kind is a key of _KINDS.  The default, "objective", gives G, a, V,
-        dG, da and dV: everything the action and its gradient need.  The
-        other kinds give the subsets their callers have always evaluated.
-        """
-        tape, targets, groups = self._kinds[kind]
+    def fields(self, t, z, kind: str) -> Fields:
+        """Evaluate one kind of fields (a key of _KINDS) at node arrays in
+        one tape run; z is [z | dz] for the kinds of the program."""
+        tape, targets, groups = (self._kinds.get(kind)
+                                 or self._program_kinds[kind])
         M = len(t)
         dim, l = self.dim, len(self.f)
         shapes = {"G": (M, dim, dim), "a": (M, dim), "V": (M,),
                   "dG": (dim, M, dim, dim), "da": (dim, M, dim),
                   "dV": (M, dim), "dtG": (M, dim, dim), "dta": (M, dim),
-                  "f": (M, l), "df": (M, l, dim), "dtf": (M, l)}
+                  "f": (M, l), "df": (M, l, dim), "dtf": (M, l),
+                  "L": (M,), "dL": (2, M, dim)}
         out = {g: (np.zeros if g in self.zero else np.empty)(shapes[g])
                for g in groups}
         # a root free of t and z comes back a scalar and is broadcast by
@@ -231,36 +283,20 @@ class LagrangianTerms:
                 out[group][p] = v
         return Fields(**out)
 
+    def lagrangian_at(self, path: SampledPath, kind: str = "objective"
+                      ) -> Fields:
+        """One kind of the Lagrangian program on the nodes of path:
+        "action" gives L, "gradient" dL, "objective" both, and
+        "penalized" also f and df."""
+        zv = np.concatenate((path.z, path.dz), axis=1)
+        return self.fields(path.t, zv, kind)
+
+    def dL_fields(self, path: SampledPath) -> np.ndarray:
+        """(dL/dz, dL/ddz) at the nodes, shape (2, M, dim)."""
+        return self.lagrangian_at(path, "gradient").dL
+
     def metric_at(self, t, z) -> np.ndarray:
         return self.fields(t, z, "metric").G
-
-    def lagrangian_at(self, path: SampledPath, fields: Fields) -> np.ndarray:
-        """L at the nodes, from fields holding G, a and V; terms of the
-        groups in self.zero are skipped (the sign of a zero may change)."""
-        dz = path.dz
-        L = 0.5 * np.einsum("mij,mi,mj->m", fields.G, dz, dz)
-        if "a" not in self.zero:
-            L = L + np.einsum("mi,mi->m", fields.a, dz)
-        return L - fields.V
-
-    def dL_fields(self, path: SampledPath, fields: Fields):
-        """(dL/dz^d, dL/ddz^d) at the nodes, each of shape (M, dim).
-
-        fields must hold G, a, dG, da and dV; self.zero as in lagrangian_at.
-        """
-        dz = path.dz
-        dLdv = np.einsum("mij,mj->mi", fields.G, dz)
-        if "a" not in self.zero:
-            dLdv = dLdv + fields.a
-        dLdz = np.empty((len(path.t), self.dim))
-        for d in range(self.dim):
-            acc = 0.0
-            if "dG" not in self.zero:
-                acc = 0.5 * np.einsum("mij,mi,mj->m", fields.dG[d], dz, dz)
-            if "da" not in self.zero:
-                acc = acc + np.einsum("mi,mi->m", fields.da[d], dz)
-            dLdz[:, d] = acc - fields.dV[:, d]
-        return dLdz, dLdv
 
     def constraints_at(self, t, z) -> np.ndarray:
         """Constraint values, shape (M, l)."""
@@ -271,8 +307,8 @@ class LagrangianTerms:
         return self.fields(t, z, "constraint_jacobian").df
 
 
-def _nodes(model: ModelSpec, traj: FourierTrajectory, M: int, kind: str):
-    """Guarded path, basis and one kind of fields at the M uniform nodes."""
+def _nodes(model: ModelSpec, traj: FourierTrajectory, M: int):
+    """Terms, basis and guarded path at the M uniform nodes."""
     terms = LagrangianTerms.of(model)
     grid = SineGrid.uniform(traj, M)
     path = grid.path(traj.coeffs)
@@ -283,7 +319,7 @@ def _nodes(model: ModelSpec, traj: FourierTrajectory, M: int, kind: str):
             raise SingularityHit(
                 f"quadrature node t = {path.t[i]} lies within "
                 f"{MACHINE_GUARD} of the singular set (distance {d[i]:.3e})")
-    return terms, grid, path, terms.fields(path.t, path.z, kind)
+    return terms, grid, path
 
 
 def action(model: ModelSpec, traj: FourierTrajectory, M: int) -> float:
@@ -293,15 +329,16 @@ def action(model: ModelSpec, traj: FourierTrajectory, M: int) -> float:
     SingularityHit if a node touches the singular set and EvalDomainError
     if an expression leaves its domain.
     """
-    terms, _, path, fields = _nodes(model, traj, M, "lagrangian")
-    return model.omega / M * float(np.sum(terms.lagrangian_at(path, fields)))
+    terms, _, path = _nodes(model, traj, M)
+    L = terms.lagrangian_at(path, "action").L
+    return model.omega / M * float(np.sum(L))
 
 
 def action_gradient(model: ModelSpec, traj: FourierTrajectory,
                     M: int) -> np.ndarray:
     """Exact gradient of the discrete action; shape matches traj.coeffs."""
-    terms, grid, path, fields = _nodes(model, traj, M, "gradient")
-    return model.omega / M * grid.gradient(*terms.dL_fields(path, fields))
+    terms, grid, path = _nodes(model, traj, M)
+    return model.omega / M * grid.gradient(terms.dL_fields(path))
 
 
 def coercivity_margin(k: GrowthConstants, omega: float) -> float:
@@ -366,7 +403,8 @@ class ActionReport:
 def action_report(model: ModelSpec, traj: FourierTrajectory,
                   M: int) -> ActionReport:
     """Action, gradient norm, H1 norm, clearance, and coercivity numbers."""
-    terms, grid, path, fields = _nodes(model, traj, M, "objective")
-    S = model.omega / M * float(np.sum(terms.lagrangian_at(path, fields)))
-    g = model.omega / M * grid.gradient(*terms.dL_fields(path, fields))
+    terms, grid, path = _nodes(model, traj, M)
+    fields = terms.lagrangian_at(path)
+    S = model.omega / M * float(np.sum(fields.L))
+    g = model.omega / M * grid.gradient(fields.dL)
     return ActionReport.of(model, traj, S, g, h1_seminorm(traj))

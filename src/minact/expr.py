@@ -22,6 +22,7 @@ subtree once per node array; evaluate is the Tape of a single tree.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -445,7 +446,7 @@ def evaluate(e: Expr, t, z):
 
 
 # Evaluation kernels: the value of node e from the values of its children.
-# Every tape instruction calls one of these, so every node is computed with
+# Every tape instruction calls _kernel(e), so every node is computed with
 # the same operations and the same domain checks wherever it appears.
 # Tape._values runs them under np.errstate(all="ignore").  A checked kernel
 # computes first and runs its checks only when the result is not finite:
@@ -513,20 +514,34 @@ def _unknown_op(e, *args):
 
 
 _UNARY = {
-    "neg": lambda e, a: -a,
-    "sin": lambda e, a: np.sin(a),
-    "cos": lambda e, a: np.cos(a),
+    "neg": np.negative,
+    "sin": np.sin,
+    "cos": np.cos,
     "exp": _exp,
     "log": _log,
     "sqrt": _sqrt,
 }
 
 _BINARY = {
-    "+": lambda e, a, b: a + b,
-    "-": lambda e, a, b: a - b,
-    "*": lambda e, a, b: a * b,
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
     "/": _divide,
 }
+
+
+def _kernel(e: Expr):
+    """The function computing node e from the values of its children: an
+    unchecked operation is the ufunc itself, a checked one is bound to e,
+    which names the EvalDomainError it raises."""
+    if isinstance(e, Power):
+        kernel = _power
+    else:
+        table = _UNARY if isinstance(e, Unary) else _BINARY
+        kernel = table.get(e.op, _unknown_op)
+    if isinstance(kernel, np.ufunc):
+        return kernel
+    return functools.partial(kernel, e)
 
 
 # ---------------------------------------------------------------------------
@@ -580,15 +595,9 @@ class Tape:
         args = self._args[slot]
         for a in args:
             self._schedule(a, seen)
-        e = self._nodes[slot]
-        if isinstance(e, Unary):
-            self._program.append((slot, _UNARY.get(e.op, _unknown_op), e,
-                                  args[0], -1))
-        elif isinstance(e, Binary):
-            self._program.append((slot, _BINARY.get(e.op, _unknown_op), e,
-                                  args[0], args[1]))
-        elif isinstance(e, Power):
-            self._program.append((slot, _power, e, args[0], -1))
+        if args:  # an operation; leaves are filled in per run
+            self._program.append((slot, _kernel(self._nodes[slot]), args[0],
+                                  args[1] if len(args) > 1 else -1))
 
     def __len__(self) -> int:
         """Number of distinct subtrees, leaves included, the roots reach."""
@@ -622,11 +631,11 @@ class Tape:
         for slot, index in self._vars:
             vals[slot] = t if index == 0 else z[..., index - 1]
         with np.errstate(all="ignore"):  # the kernels check their results
-            for slot, kernel, e, a, b in self._program:
+            for slot, kernel, a, b in self._program:
                 if b < 0:
-                    vals[slot] = kernel(e, vals[a])
+                    vals[slot] = kernel(vals[a])
                 else:
-                    vals[slot] = kernel(e, vals[a], vals[b])
+                    vals[slot] = kernel(vals[a], vals[b])
         return [vals[slot] for slot in self.roots]
 
 
@@ -635,7 +644,9 @@ def compile(roots) -> Tape:
 
     Structurally equal subtrees -- same node type, operator and bitwise
     equal numbers over equal children -- share one slot, within a tree and
-    across trees.
+    across trees; so do a+b and b+a, and a*b and b*a, whose values are
+    bit-identical.  A slot keeps the node interned first, which a tree
+    walk of the roots in the order given reaches first.
     """
     table = ([], [], {}, {})
     return Tape(table[0], table[1], [_intern(e, table) for e in roots])
@@ -660,7 +671,9 @@ def _intern(e: Expr, table) -> int:
         key = ("u", e.op, children)
     elif isinstance(e, Binary):
         children = (_intern(e.lhs, table), _intern(e.rhs, table))
-        key = ("b", e.op, children)
+        # IEEE + and * commute exactly: a*b and b*a share one slot
+        key = ("b", e.op,
+               tuple(sorted(children)) if e.op in ("+", "*") else children)
     elif isinstance(e, Power):
         children = (_intern(e.base, table),)
         key = ("p", _bits(e.exponent), children)

@@ -38,7 +38,7 @@ from .action import ActionReport, LagrangianTerms, apriori_radius, \
 from .model import ModelSpec, enumerate_planar, nearest_distances, \
     singular_set
 from .trajectory import FourierTrajectory, HomotopySignature, SineGrid, \
-    WindingRefinementError, h1_seminorm, refine_windings, winding_signature
+    WindingRefinementError, refine_windings, winding_signature
 
 __all__ = ["SolveOptions", "SolveResult", "OptimizeError",
            "minimize", "solve_in_class"]
@@ -132,6 +132,10 @@ class _Objective:
         self.shape = proto.coeffs.shape
         self.sig_centers = tuple(enumerate_planar(self.sigma))
         self.drift_speed = np.linalg.norm(self.grid.drift)
+        # h1_seminorm's terms that do not depend on the coefficients
+        drift = self.grid.drift
+        self.h1_drift = proto.omega * float(np.dot(drift, drift))
+        self.w2 = self.grid.w[:, None] ** 2
 
     def traj(self, b_flat: np.ndarray) -> FourierTrajectory:
         return self.proto.with_coeffs(b_flat.reshape(self.shape))
@@ -163,19 +167,24 @@ class _Objective:
         """
         return refine_windings(self.traj(b_flat), self.sig_centers, 1)
 
+    def h1(self, b_flat: np.ndarray) -> float:
+        """h1_seminorm of the trajectory b, bit for bit."""
+        B = b_flat.reshape(self.shape)
+        return math.sqrt(self.h1_drift + float(np.sum(self.w2 * B * B))
+                         * self.proto.omega / 2.0)
+
     def value_and_grad(self, b_flat: np.ndarray, mu: float, z: np.ndarray):
         """S_mu and its gradient at b, whose node positions are z."""
         path = self.grid.path(b_flat.reshape(self.shape), z)
-        fields = self.terms.fields(path.t, path.z)
-        L = self.terms.lagrangian_at(path, fields)
-        S = self.weight * float(np.sum(L))
-        dLdz, dLdv = self.terms.dL_fields(path, fields)
-        if mu > 0.0 and self.terms.f:
-            F = self.terms.constraints_at(path.t, path.z)     # (M, l)
-            J = self.terms.constraint_jacobian_at(path.t, path.z)  # (M,l,dim)
+        penalized = mu > 0.0 and self.terms.f
+        fields = self.terms.lagrangian_at(
+            path, "penalized" if penalized else "objective")
+        S = self.weight * float(np.sum(fields.L))
+        if penalized:
+            F, J = fields.f, fields.df  # (M, l), (M, l, dim)
             S += 0.5 * mu * self.weight * float(np.sum(F * F))
-            dLdz = dLdz + mu * np.einsum("ml,mld->md", F, J)
-        grad = self.weight * self.grid.gradient(dLdz, dLdv)
+            fields.dL[0] += mu * np.sum(F[:, :, None] * J, axis=1)
+        grad = self.weight * self.grid.gradient(fields.dL)
         return S, grad.reshape(-1)
 
 
@@ -303,7 +312,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                 f"{err}") from err
 
     margin = coercivity_margin(model.constants, model.omega)
-    h1 = seed_h1 = h1_seminorm(seed)
+    h1 = seed_h1 = obj.h1(b)
     clear = obj.clearance(b, dist)
     # kinetic-block diagonal of the Hessian per mode, repeated over coords
     w_freq = seed.frequencies()
@@ -434,7 +443,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             cand, z, S_cand, g_cand, dist = accepted
             memory.push(cand - b, g_cand - g)
             b, S, g = cand, S_cand, g_cand
-            h1 = h1_seminorm(seed, b.reshape(obj.shape))
+            h1 = obj.h1(b)
             clear = obj.clearance(b, dist)
             retried_steepest = False
             total_iter += 1

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import SingularSet, enumerate_planar, exact_int, json_field, \
-    nearest_distances, nearest_singular
+from .model import SingularSet, _nearest, enumerate_planar, exact_int, \
+    json_field, nearest_distances, nearest_singular
 
 __all__ = [
     "FourierTrajectory", "SampledPath", "SineGrid", "HomotopySignature",
@@ -73,7 +73,11 @@ class FourierTrajectory:
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise TrajectoryError("omega must be finite and > 0")
         object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "nu", tuple(int(v) for v in self.nu))
+        try:
+            nu = tuple(exact_int(v) for v in self.nu)
+        except ValueError as err:
+            raise TrajectoryError(f"nu must hold integers: {err}") from None
+        object.__setattr__(self, "nu", nu)
         b = np.array(self.coeffs, dtype=float, copy=True)
         if b.ndim != 2:
             raise TrajectoryError("coeffs must be a 2-d array (N, dim)")
@@ -186,9 +190,10 @@ class SineGrid:
         return SampledPath(t=self.t, z=self.z(B) if z is None else z,
                            dz=self.drift + self.Cw @ B, ddz=None)
 
-    def gradient(self, dLdz: np.ndarray, dLdv: np.ndarray) -> np.ndarray:
-        """S^T dLdz + Cw^T dLdv, shape (N, dim)."""
-        return self.S.T @ dLdz + self.Cw.T @ dLdv
+    def gradient(self, dL: np.ndarray) -> np.ndarray:
+        """S^T dL/dz + Cw^T dL/ddz, shape (N, dim), for dL = (dL/dz,
+        dL/ddz) of shape (2, M, dim)."""
+        return self.S.T @ dL[0] + self.Cw.T @ dL[1]
 
 
 def evaluate_path(traj: FourierTrajectory, t) -> np.ndarray:
@@ -223,12 +228,10 @@ def sample(traj: FourierTrajectory, M: int) -> SampledPath:
     return replace(path, ddz=-grid.S @ (grid.w[:, None] ** 2 * b))
 
 
-def h1_seminorm(traj: FourierTrajectory,
-                coeffs: np.ndarray | None = None) -> float:
+def h1_seminorm(traj: FourierTrajectory) -> float:
     """Exact L2 norm of the velocity over one period.
 
-    coeffs (N, dim), when given, stand in for traj.coeffs.  Parseval
-    gives, per coordinate with drift c and sine coefficients b_k,
+    Parseval gives, per coordinate with drift c and sine coefficients b_k,
 
         integral_0^omega |dz|^2 dt = omega*c^2
                              + sum_k (2*pi*k/omega)^2 * b_k^2 * omega/2;
@@ -237,7 +240,7 @@ def h1_seminorm(traj: FourierTrajectory,
     the formula is exact, not a quadrature.
     """
     w = traj.frequencies()
-    b = traj.coeffs if coeffs is None else coeffs
+    b = traj.coeffs
     total = traj.omega * float(np.dot(traj.drift(), traj.drift()))
     total += float(np.sum((w[:, None] ** 2) * b * b)) * traj.omega / 2.0
     return math.sqrt(total)
@@ -279,11 +282,12 @@ def windings_of_closed_points(points: np.ndarray, centers) -> dict | None:
 def _distance_profile(traj: FourierTrajectory, s: SingularSet, M: int):
     """FFT-sampled points and node distances, and the refined minimum.
 
-    Golden-section search refines every sampled local minimum of the
-    distance at once, 50 steps on the bracket of its two neighbour nodes;
-    the distance is continuous and locally unimodal at this resolution.
-    Computed once per (s, grid size) for a trajectory; the arrays are
-    read-only.
+    Every sampled local minimum is refined at once by safeguarded Newton
+    steps toward the nearest time of the curve to the node's nearest
+    singular point, inside the bracket of its two neighbour nodes; the
+    minimum is the least of the node distances and the distances at the
+    refined times, so it is always attained by the curve.  Computed once
+    per (s, grid size) for a trajectory; the arrays are read-only.
     """
     M = max(int(M), 4 * traj.N + 4, 64)
     return traj._memoized(("profile", s, M),
@@ -295,27 +299,29 @@ def _compute_profile(traj: FourierTrajectory, s: SingularSet, M: int):
     d = nearest_distances(s, pts)
     h = traj.omega / M
     local = np.nonzero((d <= np.roll(d, 1)) & (d <= np.roll(d, -1)))[0]
-    ti = traj.omega * local / M
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = ti - h, ti + h
-    c = b - inv * (b - a)
-    e = a + inv * (b - a)
-    w, drift, coeffs = traj.frequencies(), traj.drift(), traj.coeffs
-
-    def dist(tt):  # evaluate_path's arithmetic, basis data hoisted
-        return nearest_distances(
-            s, np.outer(tt, drift) + np.sin(np.outer(tt, w)) @ coeffs)
-
-    fc, fe = dist(c), dist(e)
-    for _ in range(50):
-        left = fc <= fe
-        # left: the minimum lies in [a, e]; else in [c, b]
-        a, b = np.where(left, a, c), np.where(left, e, b)
-        c, e = (np.where(left, b - inv * (b - a), e),
-                np.where(left, c, a + inv * (b - a)))
-        f = dist(np.where(left, c, e))
-        fc, fe = np.where(left, f, fe), np.where(left, fc, f)
-    best = min(float(np.min(d)), float(np.min(np.minimum(fc, fe))))
+    t = traj.omega * local / M
+    lo, hi = t - h, t + h
+    _, witness = _nearest(s, pts[local], witness=True)
+    w, drift, dim = traj.frequencies(), traj.drift(), traj.dim
+    wb = w[:, None] * traj.coeffs
+    # sin(w t) @ sine_basis = (z - drift t, ddz), cos(w t) @ wb = dz - drift
+    sine_basis = np.concatenate((traj.coeffs, -w[:, None] * wb), axis=1)
+    tol = 4.0 * np.finfo(float).eps * traj.omega  # the rounding of t
+    for _ in range(16):  # quadratic convergence takes about four
+        phases = np.outer(t, w)
+        zs = np.sin(phases) @ sine_basis
+        gap = zs[:, :dim] + np.outer(t, drift) - witness
+        dz = np.cos(phases) @ wb + drift
+        # Newton on g = (z - s).dz, half the derivative of |z - s|^2, with
+        # g' = |dz|^2 + (z - s).ddz; no step where g' <= 0
+        g = np.sum(gap * dz, axis=1)
+        slope = np.sum(dz * dz + gap * zs[:, dim:], axis=1)
+        step = -g / np.where(slope > 0.0, slope, np.inf)
+        t, t_old = np.minimum(np.maximum(t + step, lo), hi), t
+        if np.max(np.abs(t - t_old)) <= tol:
+            break  # no step exceeds rounding
+    refined = nearest_distances(s, evaluate_path(traj, t))
+    best = min(float(np.min(d)), float(np.min(refined)))
     pts.setflags(write=False)
     d.setflags(write=False)
     return pts, d, best
@@ -325,8 +331,8 @@ def min_distance_to(traj: FourierTrajectory, s: SingularSet,
                     M: int = 1024) -> float:
     """Distance from the curve to the singular set over one period.
 
-    Dense uniform sampling followed by golden-section refinement around
-    every sampled local minimum.
+    Dense uniform sampling followed by Newton refinement around every
+    sampled local minimum (see _distance_profile).
     """
     if s.is_empty():
         return math.inf
@@ -382,8 +388,9 @@ def _compute_signature(traj: FourierTrajectory, s: SingularSet,
     windings = {}
     if s.m == 2 and s.n == 0 and traj.dim == 2:
         centers = enumerate_planar(s)
-        # zero clearance to rounding (the golden-section brackets end near
-        # 1e-10 of the curve's size): no grid size can classify the curve
+        # zero clearance to rounding (the refined minimum of a curve through
+        # the set is far below 1e-9 of its size): no grid size can
+        # classify the curve
         if dist <= 1e-9 * float(np.max(np.abs(pts))):
             raise WindingRefinementError(
                 f"cannot classify the windings around {centers}: the curve "

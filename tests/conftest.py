@@ -128,9 +128,9 @@ def reference_evaluate(e, t, z):
     """Tree-walk evaluation of one tree: the reference for compiled tapes.
 
     Visits every node, shared subtrees once per occurrence, with the
-    kernels of minact.expr under the tape's np.errstate(all="ignore");
-    takes and returns what ex.evaluate does and raises the same
-    EvalDomainError.
+    kernel minact.expr binds to each node (ex._kernel), under the tape's
+    np.errstate(all="ignore"); takes and returns what ex.evaluate does and
+    raises the same EvalDomainError.
     """
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -151,13 +151,14 @@ def _walk(e, t, z):
     if isinstance(e, ex.Var):
         return t if e.index == 0 else z[..., e.index - 1]
     if isinstance(e, ex.Unary):
-        return ex._UNARY.get(e.op, ex._unknown_op)(e, _walk(e.arg, t, z))
-    if isinstance(e, ex.Binary):
-        return ex._BINARY.get(e.op, ex._unknown_op)(
-            e, _walk(e.lhs, t, z), _walk(e.rhs, t, z))
-    if isinstance(e, ex.Power):
-        return ex._power(e, _walk(e.base, t, z))
-    raise TypeError(f"not an expression node: {e!r}")
+        children = (e.arg,)
+    elif isinstance(e, ex.Binary):
+        children = (e.lhs, e.rhs)
+    elif isinstance(e, ex.Power):
+        children = (e.base,)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return ex._kernel(e)(*(_walk(c, t, z) for c in children))
 
 
 def reference_refine_feasible(terms, t, z0, max_iters=60, tol=1e-11):

@@ -253,23 +253,45 @@ def _held_trees(terms):
             + [e for row in terms.df for e in row] + list(terms.dtf))
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES + ("constrained",))
+def _program_roots(terms, fields):
+    """(values, tree) of every root of the penalized Lagrangian program."""
+    L, dLdz, dLdv = terms.program
+    return ([(fields.L, L)]
+            + [(fields.dL[0, :, d], e) for d, e in enumerate(dLdz)]
+            + [(fields.dL[1, :, d], e) for d, e in enumerate(dLdv)]
+            + [(fields.f[:, j], e) for j, e in enumerate(terms.f)]
+            + [(fields.df[:, j, d], e) for j, row in enumerate(terms.df)
+               for d, e in enumerate(row)])
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("constrained", "gyro"))
 def test_tape_matches_evaluate_on_every_model_tree(name, rng):
     """One tape over all of a model's trees reproduces the tree walk
-    exactly."""
+    exactly, and every root of the Lagrangian program equals evaluate of
+    its own tree on [z | dz] bit for bit."""
     model = _model(name)
-    trees = _held_trees(LagrangianTerms(model))
-    t, z, _ = _nodes(model, rng)
+    terms = LagrangianTerms(model)
+    trees = _held_trees(terms)
+    t, z, dz = _nodes(model, rng)
     for e, got in zip(trees, ex.compile(trees).run(t, z)):
         assert np.array_equal(got, reference_evaluate(e, t, z)), \
+            ex.to_text(e)
+    fields = terms.lagrangian_at(SampledPath(t=t, z=z, dz=dz, ddz=None),
+                                 "penalized")
+    zv = np.concatenate((z, dz), axis=1)
+    roots = _program_roots(terms, fields)
+    assert len(roots) == 1 + 2 * model.dim + len(terms.f) * (1 + model.dim)
+    for got, e in roots:
+        assert np.array_equal(got, ex.evaluate(e, t, zv)), ex.to_text(e)
+        assert np.array_equal(got, reference_evaluate(e, t, zv)), \
             ex.to_text(e)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("constrained", "gyro"))
 def test_fields_match_per_entry_evaluation(name, rng):
-    """fields() and the L, dL assembly equal the entry-by-entry reference,
-    the full einsum assembly up to the sign of exact zeros, which skips
-    exactly the groups that vanish."""
+    """fields() equals the entry-by-entry reference, and the Lagrangian
+    program's L, dL/dz and dL/ddz equal the einsum assembly of those
+    entries to 1e-13 relative to the sizes of its terms."""
     model = _model(name)
     terms = LagrangianTerms(model)
     t, z, dz = _nodes(model, rng)
@@ -291,16 +313,17 @@ def test_fields_match_per_entry_evaluation(name, rng):
     G, a, V = sym(terms.g), cols(terms.a), ev(terms.V)
     dG = [sym(terms.dg[d]) for d in range(dim)]
     da = [cols(terms.da[d]) for d in range(dim)]
-    fl = terms.fields(t, z)
-    assert np.array_equal(fl.G, G) and np.array_equal(fl.a, a)
-    assert np.array_equal(fl.V, V)
-    assert np.array_equal(fl.dG, np.stack(dG))
-    assert np.array_equal(fl.da, np.stack(da))
-    assert np.array_equal(fl.dV, cols(terms.dV))
     res = terms.fields(t, z, "residual")
+    assert np.array_equal(res.G, G)
+    assert np.array_equal(res.dG, np.stack(dG))
+    assert np.array_equal(res.da, np.stack(da))
+    assert np.array_equal(res.dV, cols(terms.dV))
     assert np.array_equal(res.dtG, sym(terms.dtg))
     assert np.array_equal(res.dta, cols(terms.dta))
     assert res.a is None and res.V is None  # never evaluated there
+    assert np.array_equal(terms.fields(t, z, "gyro").a, a)
+    energy = terms.fields(t, z, "energy")
+    assert np.array_equal(energy.G, G) and np.array_equal(energy.V, V)
     if terms.f:
         assert np.array_equal(terms.constraints_at(t, z), cols(terms.f))
         assert np.array_equal(
@@ -312,25 +335,73 @@ def test_fields_match_per_entry_evaluation(name, rng):
     assert terms.zero == {g for g, v in (("a", a), ("dG", np.stack(dG)),
                                          ("da", np.stack(da)))
                           if not np.any(v)}
-    path = SampledPath(t=t, z=z, dz=dz, ddz=None)
-    L = (0.5 * np.einsum("mij,mi,mj->m", G, dz, dz)
-         + np.einsum("mi,mi->m", a, dz) - V)
-    assert np.array_equal(terms.lagrangian_at(path, fl), L)
-    dLdz, dLdv = terms.dL_fields(path, fl)
-    assert np.array_equal(dLdv, np.einsum("mij,mj->mi", G, dz) + a)
+
+    def close(got, *parts):
+        # parts (products, gyro terms, potential) with their absolute
+        # values: the rounding of any summation order is below eps times
+        # the sum of the absolute values
+        want = sum(p for p, _ in parts)
+        scale = sum(q for _, q in parts)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    A, adz = np.abs, np.abs(dz)
+    fields = terms.lagrangian_at(SampledPath(t=t, z=z, dz=dz, ddz=None))
+    close(fields.L,
+          (0.5 * np.einsum("mij,mi,mj->m", G, dz, dz),
+           0.5 * np.einsum("mij,mi,mj->m", A(G), adz, adz)),
+          (np.einsum("mi,mi->m", a, dz), np.einsum("mi,mi->m", A(a), adz)),
+          (-V, A(V)))
+    close(fields.dL[1], (np.einsum("mij,mj->mi", G, dz),
+                          np.einsum("mij,mj->mi", A(G), adz)), (a, A(a)))
+    dV = cols(terms.dV)
     for d in range(dim):
-        want = (0.5 * np.einsum("mij,mi,mj->m", dG[d], dz, dz)
-                + np.einsum("mi,mi->m", da[d], dz) - ev(terms.dV[d]))
-        assert np.array_equal(dLdz[:, d], want)
+        close(fields.dL[0, :, d],
+              (0.5 * np.einsum("mij,mi,mj->m", dG[d], dz, dz),
+               0.5 * np.einsum("mij,mi,mj->m", A(dG[d]), adz, adz)),
+              (np.einsum("mi,mi->m", da[d], dz),
+               np.einsum("mi,mi->m", A(da[d]), adz)),
+              (-dV[:, d], A(dV[:, d])))
+    # each kind stores what it computes and nothing else
+    path = SampledPath(t=t, z=z, dz=dz, ddz=None)
+    assert np.array_equal(terms.lagrangian_at(path, "action").L, fields.L)
+    assert np.array_equal(terms.dL_fields(path), fields.dL)
+    assert terms.lagrangian_at(path, "action").dL is None
+    assert terms.lagrangian_at(path, "gradient").L is None
+    assert fields.f is None
+
+
+def test_program_errors_follow_the_field_order():
+    """With the metric entry sqrt(z2) and the gyro component log(z1) both
+    outside their domain, a walk of L alone reaches log(z1) first, but
+    every kind of the program evaluates the metric before the gyro, as
+    the fields it replaced did, and names sqrt(z2)."""
+    model = ModelSpec(
+        m=2, n=0, omega=TWO_PI, nu=(),
+        metric=[[ex.const(1.0), ex.const(0.0)],
+                [ex.const(0.0), ex.parse("sqrt(z2)", 2)]],
+        gyro=[ex.parse("log(z1)", 2), ex.const(0.0)],
+        potential=ex.const(0.0), constants=k_only(0.5))
+    terms = LagrangianTerms(model)
+    t, z = np.zeros(2), np.array([[1.0, 1.0], [-1.0, -1.0]])
+    with pytest.raises(ex.EvalDomainError) as walk:
+        ex.evaluate(terms.program[0], t, np.hstack([z, z]))
+    assert walk.value.node == ex.parse("log(z1)", 2)
+    path = SampledPath(t=t, z=z, dz=z, ddz=None)
+    for kind in ("action", "gradient", "objective", "penalized"):
+        with pytest.raises(ex.EvalDomainError) as err:
+            terms.lagrangian_at(path, kind)
+        assert err.value.node == ex.parse("sqrt(z2)", 2), kind
 
 
 def test_surface_slide_tape_computes_each_distinct_subtree_once():
-    """The objective tape has one slot per distinct subtree: 108 of them."""
+    """The objective program has one slot per distinct subtree, where
+    a+b and b+a, and a*b and b*a, are one subtree: 135 of them."""
     terms = LagrangianTerms(builtin("surface_slide"))
     distinct = set()
 
     def key(e):
-        # structural identity, with numbers compared by their bits
+        # structural identity, with numbers compared by their bits and
+        # the operands of + and * unordered
         parts = [type(e).__name__]
         for f in dataclasses.fields(e):
             v = getattr(e, f.name)
@@ -339,17 +410,22 @@ def test_surface_slide_tape_computes_each_distinct_subtree_once():
             elif isinstance(v, float):
                 v = v.hex()
             parts.append(v)
+        if isinstance(e, ex.Binary) and e.op in ("+", "*"):
+            parts[2:] = sorted(parts[2:], key=repr)
         distinct.add(tuple(parts))
         return tuple(parts)
 
     dim = terms.dim
+    L, dLdz, dLdv = terms.program
     for e in ([terms.g[i][j] for i in range(dim) for j in range(i, dim)]
               + list(terms.a) + [terms.V]
               + [terms.dg[d][i][j] for d in range(dim)
                  for i in range(dim) for j in range(i, dim)]
-              + [e for row in terms.da for e in row] + list(terms.dV)):
+              + [e for row in terms.da for e in row] + list(terms.dV)
+              + [L, *dLdz, *dLdv]):
         key(e)
-    assert len(terms._kinds["objective"][0]) == len(distinct) == 108
+    tape = terms._program_kinds["objective"][0]
+    assert len(tape) == len(distinct) == 135
 
 
 def test_action_evaluates_no_derivative_tree():

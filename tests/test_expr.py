@@ -306,6 +306,31 @@ def test_tape_keeps_signed_zeros_apart():
                           np.signbit(reference_evaluate(neg, np.zeros(2), z)))
 
 
+def test_tape_shares_commuted_sums_and_products():
+    """a*b and b*a, and a+b and b+a, share one slot and give the tree
+    walk's bits; a-b and b-a do not.  A shared checked node keeps the
+    node interned first, the one a walk of the roots in order reaches
+    first, so the error names it."""
+    texts = ("z1*z2", "z2*z1", "z1 + z2", "z2 + z1", "z1 - z2", "z2 - z1")
+    roots = [ex.parse(text, 2) for text in texts]
+    tape = ex.compile(roots)
+    assert len(tape) == 6  # z1, z2, one product, one sum, two differences
+    rng = np.random.default_rng(13)
+    t, z = rng.normal(size=20), rng.normal(size=(20, 2))
+    for e, got in zip(roots, tape.run(t, z)):
+        assert np.array_equal(got, reference_evaluate(e, t, z)), \
+            ex.to_text(e)
+    first, second = ex.parse("log(z1*z2)", 2), ex.parse("log(z2*z1)", 2)
+    z = np.array([[1.0, -1.0]])
+    for roots in ([first, second], [second, first]):
+        tape = ex.compile(roots)
+        assert len(tape) == 4
+        with pytest.raises(ex.EvalDomainError) as err:
+            tape.run(np.zeros(1), z)
+        assert err.value.node == roots[0]
+        assert str(err.value).endswith(f"'{ex.to_text(roots[0])}'")
+
+
 # ---------------------------------------------------------------------------
 # checked kernels
 

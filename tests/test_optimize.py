@@ -494,8 +494,8 @@ def test_unconstrained_report_comes_from_the_loop(monkeypatch):
     """Without penalty phases the final ActionReport takes S and the
     gradient norm from the loop, bit for bit what action_report computes.
     nearest_distances then runs only for the node guards of the seed and
-    the candidates and for the distance profiles (one grid, two brackets
-    and 50 golden-section steps each): no quadrature pass at the end."""
+    the candidates and for the distance profiles (one grid and one set of
+    Newton-refined times each): no quadrature pass at the end."""
     model, opts = builtin("two_centers"), SolveOptions(N=24)
     counted = [count_calls(monkeypatch, sys.modules[f"minact.{name}"],
                            "nearest_distances")
@@ -505,7 +505,7 @@ def test_unconstrained_report_comes_from_the_loop(monkeypatch):
     res = solve_in_class(model, 1, opts)
     profiles = [M for kind, _, M in builds if kind == "profile"]
     assert res.status == "Converged" and len(profiles) == 2
-    assert sum(map(len, counted)) == len(nodes) + 53 * len(profiles)
+    assert sum(map(len, counted)) == len(nodes) + 2 * len(profiles)
     assert _report_bits(res.report) == _report_bits(
         action_report(model, res.trajectory, opts.M))
     for model, seed, opts in (

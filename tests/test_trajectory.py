@@ -44,6 +44,15 @@ def test_sample_rejects_aliasing_grid():
         sample(traj, 8)  # need M >= 2N+1 = 9
 
 
+def test_winding_vector_must_be_integral():
+    """nu is not truncated: 1.5 and True are refused, naming the value,
+    while an integral float such as 2.0 is still accepted."""
+    for bad in (1.5, True):
+        with pytest.raises(TrajectoryError, match=repr(bad)):
+            FourierTrajectory(2.0, (bad,), [[0.0, 1.0]])
+    assert FourierTrajectory(2.0, (2.0,), [[0.0, 1.0]]).nu == (2,)
+
+
 def test_sample_derivatives_match_finite_differences(rng):
     """dz and ddz agree with central differences of the position."""
     traj = random_trajectory(rng, dim=2, N=5, nu=(2,))
@@ -214,6 +223,49 @@ def test_min_distance_matches_scalar_refinement(rng):
         traj = random_trajectory(rng, dim=3, N=4, nu=(1, -2))
         ref = _scalar_min_distance(traj, lattice)
         assert abs(min_distance_to(traj, lattice) - ref) <= 1e-12 * ref
+
+
+def _golden_min_distance(traj, s, M=1024):
+    """Reference: the sampled local minima refined all at once by 50
+    golden-section steps on the bracket of their neighbour nodes."""
+    M = max(M, 4 * traj.N + 4, 64)
+    t = traj.omega * np.arange(M) / M
+    d = nearest_distances(s, evaluate_path(traj, t))
+    h = traj.omega / M
+    ti = t[np.nonzero((d <= np.roll(d, 1)) & (d <= np.roll(d, -1)))[0]]
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = ti - h, ti + h
+    c, e = b - inv * (b - a), a + inv * (b - a)
+
+    def dist(tt):
+        return nearest_distances(s, evaluate_path(traj, tt))
+
+    fc, fe = dist(c), dist(e)
+    for _ in range(50):
+        left = fc <= fe
+        a, b = np.where(left, a, c), np.where(left, e, b)
+        c, e = (np.where(left, b - inv * (b - a), e),
+                np.where(left, c, a + inv * (b - a)))
+        f = dist(np.where(left, c, e))
+        fc, fe = np.where(left, f, fe), np.where(left, fc, f)
+    return min(float(np.min(d)), float(np.min(np.minimum(fc, fe))))
+
+
+def test_newton_clearance_matches_golden_section(rng):
+    """On random planar and lattice trajectories the Newton-refined
+    clearance equals the golden-section value to rounding: 1e-13 relative
+    to the larger of the distance and the curve's size, since a distance
+    is a difference of positions of that size."""
+    planar = SingularSet(base=((0.7, 0.2), (0.1, -0.9)), m=2, n=0)
+    lattice = SingularSet(base=((0.4, 1.0, -2.0),), m=1, n=2)
+    for _ in range(60):
+        for traj, s in ((random_trajectory(rng, dim=2, N=6), planar),
+                        (random_trajectory(rng, dim=3, N=4, nu=(1, -2)),
+                         lattice)):
+            ref = _golden_min_distance(traj, s)
+            size = float(np.max(np.abs(uniform_positions(traj, 64))))
+            assert abs(min_distance_to(traj, s) - ref) <= 1e-13 * max(
+                ref, size)
 
 
 def _figure_eight():

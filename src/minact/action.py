@@ -140,11 +140,13 @@ class LagrangianTerms:
         self.g = model.metric
         self.a = model.gyro
         self.V = model.potential
-        self.dg = [[[ex.differentiate(model.metric[i][j], d + 1)
-                     for j in range(dim)] for i in range(dim)]
-                   for d in range(dim)]
-        self.dtg = [[ex.differentiate(model.metric[i][j], 0)
-                     for j in range(dim)] for i in range(dim)]
+        # a symmetric metric holds one tree per index pair, and so does dg
+        dg = {(i, j, v): ex.differentiate(model.metric[i][j], v)
+              for v in range(dim + 1)
+              for i in range(dim) for j in range(i, dim)}
+        dg = [[[dg[min(i, j), max(i, j), v] for j in range(dim)]
+               for i in range(dim)] for v in range(dim + 1)]
+        self.dtg, self.dg = dg[0], dg[1:]
         self.da = [[ex.differentiate(model.gyro[i], d + 1)
                     for i in range(dim)] for d in range(dim)]
         self.dta = [ex.differentiate(model.gyro[i], 0) for i in range(dim)]

@@ -209,8 +209,8 @@ class SingularSet:
     """Base points of sigma plus the coordinate split (m linear, n angular).
 
     The full set is { s', -s' : s' in base } shifted by 2*pi*p, p integer,
-    in each angle coordinate.  Negations and shifts are generated on the
-    fly; nothing beyond the base is stored.
+    in each angle coordinate.  The points s', -s' are enumerated once, into
+    the read-only (K, dim) array candidates; shifts are generated on the fly.
     """
 
     base: tuple
@@ -220,6 +220,9 @@ class SingularSet:
     def __post_init__(self):
         pts = tuple(tuple(float(v) for v in p) for p in self.base)
         object.__setattr__(self, "base", pts)
+        cands = np.array(enumerate_planar(self)).reshape(-1, self.dim)
+        cands.flags.writeable = False
+        object.__setattr__(self, "candidates", cands)
 
     @property
     def dim(self) -> int:
@@ -259,7 +262,7 @@ def _nearest(s: SingularSet, points: np.ndarray, witness: bool):
     coordinatewise.  Squares are summed coordinate by coordinate, which is
     np.linalg.norm's order for fewer than 8 coordinates.
     """
-    cands = np.array(enumerate_planar(s)).reshape(-1, s.dim)  # (K, dim)
+    cands = s.candidates  # (K, dim)
     sq = np.zeros((len(cands), points.shape[0]))
     shifts = []
     for j in range(s.dim):

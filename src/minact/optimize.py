@@ -3,15 +3,17 @@
 The unknowns are exactly the coefficients b[k][d] of a FourierTrajectory,
 so oddness and the prescribed angle drift survive every step structurally.
 The solver is a limited-memory quasi-Newton descent with Armijo
-backtracking on the penalized objective
+backtracking.  Constraints enter by the method of multipliers (Nocedal and
+Wright, Numerical Optimization, 17.3): with mu fixed, each round minimizes
 
-    S_mu(b) = S(b) + (mu/2) * (omega/M) * sum_{i,j} f_j(t_i, z_i)^2,
+    S_mu(b) = S(b) + (omega/M) * sum_{i,j} (lam_ij f_ij + (mu/2) f_ij^2),
 
-with mu following a geometric schedule when constraints exist and mu = 0
-otherwise.  The line search rejects any candidate that either comes closer
-than guard_delta to the singular set at a quadrature node or changes the
-winding signature of the seed; the continuous problem cannot cross the
-singular barrier, and the guards restore that topology for the discrete
+f_ij = f_j(t_i, z_i), and sets lam <- lam + mu f until max|f| <= FEAS_TOL;
+without constraints one round minimizes S.  The line search rejects any
+candidate that either comes closer than guard_delta to the singular set at
+a quadrature node or changes the winding signature of the seed; the
+continuous problem cannot cross the singular barrier, and the guards
+restore that topology for the discrete
 one.  Divergence is declared against the a priori coercivity radius when
 the margin is positive, and against runaway norm growth otherwise.
 
@@ -48,15 +50,14 @@ class OptimizeError(ValueError):
     """Invalid options or an unusable seed."""
 
 
-# Fixed settings of the solver: the smallest line-search step, the
-# penalty schedule mu = 10, 100, ..., 1e8 for constrained models, the
-# divergence threshold as a multiple of the a priori radius (or of the
-# seed's H1 norm), the number of L-BFGS pairs kept, and the relative slack
-# on both terms of the clearance bound, far above their rounding.
+# Fixed settings of the solver: the smallest line-search step, mu and the
+# tolerance on max|f| at the nodes for constrained models, the divergence
+# threshold as a multiple of the a priori radius (or of the seed's H1
+# norm), the number of L-BFGS pairs kept, and the relative slack on both
+# terms of the clearance bound, far above their rounding.
 STEP_TOL = 1e-14
-PENALTY_MU0 = 10.0
-PENALTY_GROWTH = 10.0
-PENALTY_MAX = 1e8
+AL_MU = 1e3
+FEAS_TOL = 1e-12
 DIVERGE_FACTOR = 10.0
 LBFGS_PAIRS = 20
 CERT_SLACK = 1e-9
@@ -94,6 +95,7 @@ class SolveResult:
     report: object  # ActionReport
     history: list
     signature: HomotopySignature | None = None
+    multipliers: np.ndarray | None = None  # (M, l) at the nodes, or None
 
     def to_dict(self) -> dict:
         return {
@@ -173,28 +175,30 @@ class _Objective:
         return math.sqrt(self.h1_drift + float(np.sum(self.w2 * B * B))
                          * self.proto.omega / 2.0)
 
-    def value_and_grad(self, b_flat: np.ndarray, mu: float, z: np.ndarray):
-        """S_mu and its gradient at b, whose node positions are z."""
+    def value_and_grad(self, b_flat: np.ndarray, z: np.ndarray, lam=None):
+        """S, or S_mu with multipliers lam (M, l), its gradient at b, whose
+        node positions are z, and the constraint values there (or None)."""
         path = self.grid.path(b_flat.reshape(self.shape), z)
-        penalized = mu > 0.0 and self.terms.f
         fields = self.terms.lagrangian_at(
-            path, "penalized" if penalized else "objective")
+            path, "objective" if lam is None else "penalized")
         S = self.weight * float(np.sum(fields.L))
-        if penalized:
-            F, J = fields.f, fields.df  # (M, l), (M, l, dim)
-            S += 0.5 * mu * self.weight * float(np.sum(F * F))
-            fields.dL[0] += mu * np.sum(F[:, :, None] * J, axis=1)
+        F = fields.f  # (M, l)
+        if lam is not None:
+            S += self.weight * float(np.sum(F * (lam + 0.5 * AL_MU * F)))
+            fields.dL[0] += np.sum((lam + AL_MU * F)[:, :, None]
+                                   * fields.df, axis=1)
         grad = self.weight * self.grid.gradient(fields.dL)
-        return S, grad.reshape(-1)
+        return S, grad.reshape(-1), F
 
 
 class _LbfgsMemory:
-    """L-BFGS in compact form with a fixed diagonal seed matrix.
+    """L-BFGS in compact form with a fixed seed matrix.
 
     The action's kinetic block is exactly diagonal in the sine basis with
     entries ~ g * w_k^2 * omega/2, so seeding the inverse Hessian with
     H0 = gamma * D, D = diag(d0) the inverse of that diagonal, removes the
-    O(N^2) conditioning that plain identity seeding suffers from.
+    O(N^2) conditioning that plain identity seeding suffers from.  A 2-D
+    d0 is D itself, any symmetric positive definite matrix.
 
     The k stored pairs are the rows of S and Y, oldest first.  With R the
     upper triangle of S Y^T, the product H g is a few (k, n) and (k, k)
@@ -203,9 +207,9 @@ class _LbfgsMemory:
     direction equals the two-loop recursion's up to rounding.
     """
 
-    def __init__(self, diag_h0: np.ndarray):
-        self.d0 = diag_h0
-        n = len(diag_h0)
+    def __init__(self, d0: np.ndarray):
+        self.D = (lambda v: d0 * v) if d0.ndim == 1 else (lambda v: d0 @ v)
+        n = len(d0)
         self.k = 0
         self.S = np.empty((LBFGS_PAIRS, n))
         self.Y = np.empty((LBFGS_PAIRS, n))
@@ -235,7 +239,7 @@ class _LbfgsMemory:
         # R gains the column (S y, s.y); R^-1 the column -R^-1 (S y) / s.y
         self.Rinv[:k, k] = (self.Rinv[:k, :k] @ (self.S[:k] @ y)) / -sy
         self.Rinv[k, k] = 1.0 / sy
-        dy = self.d0 * y
+        dy = self.D(y)
         self.YDY[:k, k] = self.YDY[k, :k] = self.Y[:k] @ dy
         self.YDY[k, k] = np.dot(y, dy)
         self.S[k], self.Y[k], self.sy[k] = s, y, sy
@@ -244,7 +248,7 @@ class _LbfgsMemory:
     def direction(self, grad: np.ndarray) -> np.ndarray:
         """-H grad, with gamma = s.y / y.D y of the newest pair (1 with
         no pairs)."""
-        dg = self.d0 * grad
+        dg = self.D(grad)
         k = self.k
         if not k:
             return -dg
@@ -252,16 +256,16 @@ class _LbfgsMemory:
         gamma = self.sy[k - 1] / self.YDY[k - 1, k - 1]
         p = Rinv @ (S @ grad)
         x = self.sy[:k] * p + gamma * (self.YDY[:k, :k] @ p - Y @ dg)
-        return -(gamma * (dg - self.d0 * (p @ Y)) + (x @ Rinv) @ S)
+        return -(gamma * (dg - self.D(p @ Y)) + (x @ Rinv) @ S)
 
 
 def minimize(model: ModelSpec, seed: FourierTrajectory,
              opts: SolveOptions) -> SolveResult:
-    """Minimize the (penalized) discrete action starting from the seed.
+    """Minimize the discrete action from the seed, on the constraint set.
 
     Statuses:
-      Converged        gradient norm reached grad_tol in the last penalty
-                       phase, signature preserved;
+      Converged        gradient norm of S_mu reached grad_tol, max|f| <=
+                       FEAS_TOL at the nodes, signature preserved;
       Diverged         H1 norm left the a priori ball (positive margin) or
                        grew past DIVERGE_FACTOR times the seed scale;
       GuardTriggered   no step exists keeping guard_delta clearance;
@@ -303,44 +307,44 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
 
     total_iter = 0
 
-    def evaluate(b_flat, mu, z_b):
+    def evaluate(b_flat, z_b):
         try:
-            return obj.value_and_grad(b_flat, mu, z_b)
+            return obj.value_and_grad(b_flat, z_b, lam)
         except ex.EvalDomainError as err:
             raise OptimizeError(
                 f"expression domain error at iteration {total_iter}: "
                 f"{err}") from err
 
-    margin = coercivity_margin(model.constants, model.omega)
+    # S_mu's multipliers and mu: none and 0 without constraints
+    lam, mu = (np.zeros((opts.M, len(model.constraints))), AL_MU) \
+        if model.constraints else (None, 0.0)
+    S, g, F = evaluate(b, z)  # the seed's S_mu sets the a priori radius
     h1 = seed_h1 = obj.h1(b)
     clear = obj.clearance(b, dist)
+    diverge_h1 = DIVERGE_FACTOR * (
+        apriori_radius(model.constants, model.omega, S)
+        if coercivity_margin(model.constants, model.omega) > 0.0
+        else max(1.0, seed_h1))
     # kinetic-block diagonal of the Hessian per mode, repeated over coords
-    w_freq = seed.frequencies()
     diag_kin = (model.omega / 2.0) * (2.0 * model.constants.K
-                                      * w_freq ** 2 + 1.0)
-    diag_h0 = np.repeat(1.0 / diag_kin, model.dim)
-    seed_eval = None
-    diverge_h1 = DIVERGE_FACTOR * max(1.0, seed_h1)
-    if margin > 0.0:
-        seed_eval = evaluate(b, 0.0, z)
-        diverge_h1 = DIVERGE_FACTOR * apriori_radius(
-            model.constants, model.omega, seed_eval[0])
-
-    phases = [0.0]
-    if model.constraints:
-        phases = []
-        mu = PENALTY_MU0
-        while mu <= PENALTY_MAX:
-            phases.append(mu)
-            mu *= PENALTY_GROWTH
-
+                                      * obj.grid.w ** 2 + 1.0)
+    h0 = np.repeat(1.0 / diag_kin, model.dim)
+    if lam is not None:
+        # S_mu's Hessian adds mu w sum_i (s_i s_i^T) x (J_i^T J_i), s_i the
+        # sines at node i: H0 inverts it, taken at the seed, plus the
+        # kinetic diagonal, which is exact for a linear constraint
+        J = obj.terms.constraint_jacobian_at(obj.grid.t, z)
+        JJ = np.einsum("mld,mle->mde", J, J) * (mu * obj.weight)
+        sines = obj.grid.S  # (M, N)
+        A = np.einsum("mk,mden->kdne", sines, JJ[..., None]
+                      * sines[:, None, None]).reshape(len(h0), len(h0))
+        h0 = np.linalg.inv(A + np.diag(1.0 / h0))
     history: list[dict] = []
 
     def finish(status: str) -> SolveResult:
         traj = obj.traj(b)  # the current iterate, with the loop's S, g, h1
-        # penalty phases leave S and g penalized: take them at mu = 0
-        S_b, g_b = (obj.value_and_grad(b, 0.0, z) if model.constraints
-                    else (S, g))
+        # S_mu and its gradient hold the multiplier terms: drop them
+        S_b, g_b = (S, g) if lam is None else obj.value_and_grad(b, z)[:2]
         report = ActionReport.of(model, traj, S_b, g_b, h1)
         sig = None
         if track_signature:
@@ -352,12 +356,11 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             if sig is None or sig.windings != seed_windings:
                 status = "SignatureChanged"
         return SolveResult(trajectory=traj, status=status, report=report,
-                           history=history, signature=sig)
+                           history=history, signature=sig, multipliers=lam)
 
-    for mu in phases:
-        memory = _LbfgsMemory(diag_h0)
-        # the unconstrained phase starts at the seed, maybe evaluated above
-        S, g = seed_eval if mu == 0.0 and seed_eval else evaluate(b, mu, z)
+    memory = _LbfgsMemory(h0)
+    updated = False  # the multipliers changed since the last step
+    while True:  # one round per multiplier estimate
         retried_steepest = False
         while True:
             gn = _norm(g)
@@ -366,8 +369,8 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                 "grad_norm": gn,
                 "min_distance": dist, "h1": h1,
             })
-            if gn <= opts.grad_tol:
-                break  # phase converged
+            if gn <= opts.grad_tol and not updated:
+                break  # round converged
             if total_iter >= opts.max_iters:
                 return finish("MaxIter")
             direction = memory.direction(g)
@@ -377,7 +380,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                 dgd = -float(np.dot(g, g))
                 memory.clear()
             if not memory:
-                # first step of a phase: conservative scale
+                # first step, or first after a reset: conservative scale
                 scale = 1.0 / max(1.0, _norm(direction))
                 direction = direction * scale
                 dgd *= scale
@@ -396,7 +399,8 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                     alpha *= 0.5
                     continue
                 try:
-                    S_cand, g_cand = obj.value_and_grad(cand, mu, z_cand)
+                    S_cand, g_cand, F_cand = obj.value_and_grad(
+                        cand, z_cand, lam)
                 except ex.EvalDomainError as err:
                     reject_reason = "domain"
                     domain_err = err
@@ -419,7 +423,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                         reject_reason = "signature"
                         alpha *= 0.5
                         continue
-                accepted = (cand, z_cand, S_cand, g_cand, d)
+                accepted = (cand, z_cand, S_cand, g_cand, F_cand, d)
                 break
 
             if accepted is None:
@@ -440,19 +444,25 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                     continue
                 return finish("MaxIter")
 
-            cand, z, S_cand, g_cand, dist = accepted
+            cand, z, S_cand, g_cand, F, dist = accepted
             memory.push(cand - b, g_cand - g)
             b, S, g = cand, S_cand, g_cand
             h1 = obj.h1(b)
             clear = obj.clearance(b, dist)
-            retried_steepest = False
+            retried_steepest = updated = False
             total_iter += 1
 
             if h1 > diverge_h1:
                 return finish("Diverged")
 
-        # phase ended with small gradient; tighten constraints further
-    return finish("Converged")
+        if lam is not None:
+            lam += mu * F  # the next estimate, from the round's own f
+        if lam is None or np.max(np.abs(F)) <= FEAS_TOL:
+            return finish("Converged")
+        # a gradient below grad_tol may still hide an f above FEAS_TOL:
+        # the next round takes at least one step
+        S, g, F = evaluate(b, z)
+        updated = True
 
 
 def solve_in_class(model: ModelSpec, homotopy_class, opts: SolveOptions,

@@ -166,8 +166,8 @@ def _project_feasible(terms: LagrangianTerms, t: np.ndarray, z0: np.ndarray,
     """Gauss-Newton projection of each row z0[i] onto {f_j(t[i], .) = 0}.
 
     All rows step together: one constraint run and one Jacobian run on
-    the rows still active per iteration, and the min-norm step
-    pinv(J) @ -F capped at unit length.  A row is feasible once
+    the rows still active per iteration, and the min-norm step J^T beta,
+    (J J^T) beta = -F, capped at unit length.  A row is feasible once
     max|F| <= tol; it drops out as infeasible when F or J leaves the
     domain or is not finite there, or after max_iters steps.  A converged
     row never evaluates the Jacobian, whose domain can be narrower.
@@ -191,12 +191,33 @@ def _project_feasible(terms: LagrangianTerms, t: np.ndarray, z0: np.ndarray,
         ok &= np.all(np.isfinite(F), axis=1)
         ok &= np.all(np.isfinite(J), axis=(1, 2))
         active, za, F, J = active[ok], za[ok], F[ok], J[ok]
-        step = (np.linalg.pinv(J) @ -F[..., None])[..., 0]
+        step = _min_norm_step(J, F)
         norm = np.linalg.norm(step, axis=1)
         big = norm > 1.0
         step[big] /= norm[big, None]  # trust region: unit-length cap
         z[active] = za + step
     return z, feasible
+
+
+def _min_norm_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """pinv(J) @ -F per row, the least-norm s with J s = -F, as J^T beta
+    with (J J^T) beta = -F: J (K, l, dim), F (K, l), s (K, dim)."""
+    return np.einsum("mld,ml->md", J, _gram_solve(J, -F)[0])
+
+
+def _gram_solve(J: np.ndarray, rhs: np.ndarray):
+    """x with (J J^T) x = rhs per row, J (M, l, dim) and rhs (M, l): one
+    batched solve, and pinv for a Gram matrix whose least eigenvalue is at
+    most 1e-12 times its largest.  Returns (x, whether any row was)."""
+    gram = np.einsum("mld,mkd->mlk", J, J)
+    ev = np.linalg.eigvalsh(gram)
+    good = ev[:, 0] > 1e-12 * np.maximum(ev[:, -1], 1e-300)
+    # a trailing axis keeps numpy's batched solve in stacked-vector mode
+    x, r = np.empty(rhs.shape), rhs[..., None]
+    x[good] = np.linalg.solve(gram[good], r[good])[..., 0]
+    if not np.all(good):
+        x[~good] = (np.linalg.pinv(gram[~good]) @ r[~good])[..., 0]
+    return x, not np.all(good)
 
 
 def check_hypotheses(model: ModelSpec,
@@ -410,23 +431,7 @@ def recover_multipliers(J: np.ndarray, R: np.ndarray):
     if single:
         J = J[None]
         R = R[None]
-    M, l, dim = J.shape
-    gram = np.einsum("mld,mkd->mlk", J, J)
-    rhs = np.einsum("mld,md->ml", J, R)
-    alpha = np.empty((M, l))
-    warning = False
-    ev = np.linalg.eigvalsh(gram)
-    good = ev[:, 0] > 1e-12 * np.maximum(ev[:, -1], 1e-300)
-    if np.all(good):
-        # trailing axis keeps numpy's batched solve in stacked-vector mode
-        alpha = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    else:
-        warning = True
-        for i in range(M):
-            if good[i]:
-                alpha[i] = np.linalg.solve(gram[i], rhs[i])
-            else:
-                alpha[i] = np.linalg.pinv(gram[i]) @ rhs[i]
+    alpha, warning = _gram_solve(J, np.einsum("mld,md->ml", J, R))
     orth = R - np.einsum("mld,ml->md", J, alpha)
     if single:
         return alpha[0], orth[0], warning

@@ -442,3 +442,35 @@ def test_action_evaluates_no_derivative_tree():
     assert math.isfinite(action(model, traj, 32))
     with pytest.raises(ex.EvalDomainError):
         action_gradient(model, traj, 32)
+
+
+def test_metric_derivatives_differentiate_the_upper_triangle(monkeypatch):
+    """The metric is symmetric, one tree per pair of indices, so
+    LagrangianTerms differentiates dim(dim+1)/2 metric entries per
+    variable (t and every coordinate), not dim^2, and (j, i) holds the
+    (i, j) derivative itself."""
+    model = builtin("surface_slide")
+    dim = model.dim
+    entries = [e for row in model.metric for e in row]
+    calls, depth = [], [0]
+    original = ex.differentiate
+
+    def counted(e, v):
+        # only the calls LagrangianTerms makes, not the recursion's own
+        if depth[0] == 0 and any(e is m for m in entries):
+            calls.append(v)
+        depth[0] += 1
+        try:
+            return original(e, v)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ex, "differentiate", counted)
+    terms = LagrangianTerms(model)
+    assert sorted(calls) == sorted(list(range(dim + 1))
+                                   * (dim * (dim + 1) // 2))
+    for i in range(dim):
+        for j in range(dim):
+            assert terms.dtg[i][j] is terms.dtg[j][i]
+            assert all(terms.dg[d][i][j] is terms.dg[d][j][i]
+                       for d in range(dim))

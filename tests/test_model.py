@@ -13,7 +13,7 @@ from minact.model import (
     model_from_dict, model_to_dict, nearest_distances, nearest_singular,
     save_model, singular_set, with_nu, with_omega,
 )
-from conftest import reference_nearest_distances
+from conftest import count_calls, reference_nearest_distances
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,6 +103,22 @@ def test_nearest_singular_empty_set():
     s = SingularSet(base=(), m=2, n=0)
     d, w = nearest_singular(s, (3.0, 4.0))
     assert d == math.inf and w is None
+
+
+def test_nearest_distances_enumerate_a_set_once(monkeypatch, rng):
+    """Repeated nearest_distances calls on one set enumerate it once; its
+    candidate array is read-only, and the distances do not change."""
+    import minact.model as model_module
+    enumerated = count_calls(monkeypatch, model_module, "enumerate_planar")
+    s = singular_set(builtin("two_centers"))
+    points = rng.normal(size=(64, 2))
+    first = nearest_distances(s, points)
+    for _ in range(3):
+        assert np.array_equal(nearest_distances(s, points), first)
+    nearest_singular(s, points[0])
+    assert len(enumerated) == 1
+    assert not s.candidates.flags.writeable
+    assert np.array_equal(first, reference_nearest_distances(s, points)[0])
 
 
 def test_enumerate_planar_contains_negations():

@@ -2,19 +2,22 @@
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from minact import expr as ex
 from minact.action import LagrangianTerms, action, action_report
-from minact.model import GrowthConstants, ModelSpec, builtin, singular_set
-from minact.optimize import (LBFGS_PAIRS, OptimizeError, SolveOptions,
-                             _LbfgsMemory, _Objective, minimize,
-                             solve_in_class)
+from minact.model import Constraint, GrowthConstants, ModelSpec, builtin, \
+    singular_set
+from minact.optimize import (AL_MU, LBFGS_PAIRS, OptimizeError,
+                             SolveOptions, _LbfgsMemory, _Objective,
+                             minimize, solve_in_class)
 from minact.trajectory import (FourierTrajectory, SineGrid, evaluate_path,
                                h1_seminorm, sample, seed_curve,
                                winding_signature)
+from minact.verify import el_residual
 from conftest import (coercive_oscillator_model, constrained_planar_model,
                       count_builds, count_calls, free_drift_model,
                       harmonic_model, random_trajectory)
@@ -118,7 +121,8 @@ def test_max_iter_status():
 
 
 def test_constrained_minimizer_matches_manifold_solution():
-    """Penalty phases drive z2 = z1; on the manifold b_1 = -beta exactly."""
+    """The method of multipliers drives z2 = z1; on the manifold
+    b_1 = -beta exactly."""
     beta = 0.5
     model = constrained_planar_model(beta)
     seed = FourierTrajectory(TWO_PI, (), 0.1 * np.ones((6, 2)))
@@ -128,7 +132,7 @@ def test_constrained_minimizer_matches_manifold_solution():
     assert abs(res.report.S - want_S) < 1e-6, \
         f"S = {res.report.S}, want {want_S}"
     assert np.allclose(res.trajectory.coeffs[0], [-beta, -beta], atol=1e-6)
-    # feasibility: integral of f^2 over the period is tiny at mu_max
+    # feasibility: integral of f^2 over the period is tiny
     terms = LagrangianTerms(model)
     p = sample(res.trajectory, 64)
     F = terms.constraints_at(p.t, p.z)
@@ -136,12 +140,63 @@ def test_constrained_minimizer_matches_manifold_solution():
     assert feas <= 1e-8, f"constraint residual {feas}"
 
 
-def test_constrained_run_visits_all_penalty_phases():
-    model = constrained_planar_model()
-    seed = FourierTrajectory(TWO_PI, (), 0.1 * np.ones((6, 2)))
-    res = minimize(model, seed, SolveOptions(N=6))
-    mus = sorted({row["mu"] for row in res.history})
-    assert mus == [10.0 ** k for k in range(1, 9)], f"phases {mus}"
+@pytest.mark.parametrize("N", [24, 48])
+def test_constrained_run_meets_feasibility_and_multipliers(monkeypatch, N):
+    """The method of multipliers has no penalty floor: from the zero seed
+    the constrained oscillator converges to max|f| <= 1e-12 at the nodes
+    and S within 1e-12 of -pi beta^2/2 in at most 60 objective
+    evaluations, and its multipliers are the least-squares reaction force
+    that el_residual recovers from the Euler-Lagrange residual."""
+    beta = 0.5
+    model, opts = constrained_planar_model(beta), SolveOptions(N=N)
+    evals = count_calls(monkeypatch, _Objective, "value_and_grad")
+    res = solve_in_class(model, None, opts)
+    assert res.status == "Converged", f"status {res.status}"
+    path = sample(res.trajectory, opts.M)
+    F = LagrangianTerms.of(model).constraints_at(path.t, path.z)
+    assert np.max(np.abs(F)) <= 1e-12, f"max|f| = {np.max(np.abs(F))}"
+    S_err = res.report.S + math.pi * beta ** 2 / 2.0
+    assert abs(S_err) <= 1e-12, f"S error {S_err}"
+    assert len(evals) <= 60, f"{len(evals)} objective evaluations"
+    alpha = el_residual(model, res.trajectory, opts.M).multipliers
+    assert res.multipliers.shape == alpha.shape == (opts.M, 1)
+    gap = np.max(np.abs(res.multipliers - alpha))
+    assert gap <= 1e-8 * np.max(np.abs(alpha)), f"multiplier gap {gap}"
+
+
+def test_history_monotone_within_multiplier_round():
+    """One fixed mu serves every round, and accepted steps never raise
+    S_mu beyond rounding within a round.  Every multiplier update, which
+    changes S_mu itself, follows a row whose gradient meets grad_tol, so
+    the history split after those rows never spans an update."""
+    model, opts = constrained_planar_model(), SolveOptions(N=24)
+    res = solve_in_class(model, None, opts)
+    assert res.status == "Converged"
+    assert {row["mu"] for row in res.history} == {AL_MU}
+    rounds = [[]]
+    for row in res.history:
+        rounds[-1].append(row["S_mu"])
+        if row["grad_norm"] <= opts.grad_tol:
+            rounds.append([])
+    assert len(rounds) > 3 and rounds[-1] == [], f"rounds {rounds}"
+    for values in rounds:
+        for a, b in zip(values, values[1:]):
+            assert b <= a + 1e-10 * (1 + abs(a)), \
+                f"S_mu rose {a} -> {b} within a round"
+
+
+def test_unsatisfiable_constraint_never_converges():
+    """f = z1^2 + 1 has no zero: every round leaves max|f| >= 1, so the
+    multipliers grow by at least mu per round, and the run ends within
+    max_iters as MaxIter, never Converged."""
+    model = replace(constrained_planar_model(), constraints=(
+        Constraint(ex.parse("z1^2 + 1", 2), "even"),))
+    opts = SolveOptions(N=6, max_iters=200)
+    res = minimize(model, FourierTrajectory(TWO_PI, (), 0.1 * np.ones(
+        (6, 2))), opts)
+    assert res.status == "MaxIter", f"status {res.status}"
+    assert res.history[-1]["iter"] <= opts.max_iters
+    assert np.min(res.multipliers) >= AL_MU, "no multiplier update"
 
 
 def test_history_monotone_within_phase():
@@ -260,6 +315,7 @@ def test_seed_too_close_to_sigma_is_rejected():
 def test_penalty_free_model_runs_single_phase():
     res = solve_in_class(builtin("two_centers"), 1, SolveOptions(N=16))
     assert {row["mu"] for row in res.history} == {0.0}
+    assert res.multipliers is None
 
 
 def test_result_to_dict_shape():
@@ -274,10 +330,10 @@ def _record_iterates(monkeypatch):
     calls = []
     original = _Objective.value_and_grad
 
-    def wrapped(self, b_flat, mu, z):
-        S, g = original(self, b_flat, mu, z)
+    def wrapped(self, b_flat, z, lam=None):
+        S, g, F = original(self, b_flat, z, lam)
         calls.append((self, b_flat.copy(), S, float(np.linalg.norm(g))))
-        return S, g
+        return S, g, F
 
     monkeypatch.setattr(_Objective, "value_and_grad", wrapped)
     return calls
@@ -295,8 +351,11 @@ def test_history_distance_and_h1_match_their_iterate(monkeypatch, case):
                        FourierTrajectory(TWO_PI, (), 0.1 * np.ones((6, 2))),
                        SolveOptions(N=6))
     else:
+        # the action is linear along b_1 (the resonance); a seed there
+        # alone leaves L-BFGS only rounding noise as curvature, so the
+        # seed sits in b_8, where the curvature is real
         res = minimize(builtin("forced_oscillator"),
-                       FourierTrajectory(TWO_PI, (), [[1.0]] + [[0.0]] * 7),
+                       FourierTrajectory(TWO_PI, (), [[0.0]] * 7 + [[1.0]]),
                        SolveOptions(N=8))
         assert res.status == "Diverged"
     assert len(res.history) > 5
@@ -344,9 +403,9 @@ def test_line_search_rejects_candidates_outside_the_domain(monkeypatch):
     errors = []
     original = _Objective.value_and_grad
 
-    def wrapped(self, b_flat, mu, z):
+    def wrapped(self, b_flat, z, lam=None):
         try:
-            return original(self, b_flat, mu, z)
+            return original(self, b_flat, z, lam)
         except ex.EvalDomainError as err:
             errors.append(str(err))
             raise
@@ -420,9 +479,9 @@ def test_winding_certificate_replaces_grid_checks_only(monkeypatch):
     assert res.history == ref.history
 
 
-def _two_loop_direction(pairs, d0, grad):
-    """The two-loop recursion over (s, y) pairs, oldest first, with
-    H0 = gamma * diag(d0): the reference for the compact form."""
+def _two_loop_direction(pairs, H0, grad):
+    """The two-loop recursion over (s, y) pairs, oldest first, with the
+    seed matrix gamma * H0: the reference for the compact form."""
     q = grad.copy()
     alphas = []
     for s, y in reversed(pairs):
@@ -432,21 +491,17 @@ def _two_loop_direction(pairs, d0, grad):
     gamma = 1.0
     if pairs:
         s, y = pairs[-1]
-        gamma = np.dot(s, y) / np.dot(y, d0 * y)
-    q = gamma * (d0 * q)
+        gamma = np.dot(s, y) / np.dot(y, H0 @ y)
+    q = gamma * (H0 @ q)
     for (s, y), a in zip(pairs, reversed(alphas)):
         q += (a - np.dot(y, q) / np.dot(y, s)) * s
     return -q
 
 
-def test_lbfgs_compact_direction_matches_two_loop(rng):
-    """The compact-form direction equals the two-loop recursion's to
-    rounding, keeps the newest LBFGS_PAIRS accepted pairs through
-    evictions, skipped pairs and clear(), and is exactly -d0*g with no
-    pairs."""
-    n = 37
-    d0 = rng.uniform(0.1, 2.0, size=n)
-    memory = _LbfgsMemory(d0)
+def _check_compact_direction(rng, memory, H0):
+    """Push pairs into memory and compare each direction with the
+    two-loop recursion's, through evictions, skipped pairs and clear()."""
+    n = len(H0)
     kept = []
     for step in range(3 * LBFGS_PAIRS + 5):
         if step == 2 * LBFGS_PAIRS:
@@ -464,13 +519,35 @@ def test_lbfgs_compact_direction_matches_two_loop(rng):
         assert np.array_equal(memory.S[:len(memory)], [p[0] for p in pairs])
         assert np.array_equal(memory.Y[:len(memory)], [p[1] for p in pairs])
         grad = rng.normal(size=n)
-        want = _two_loop_direction(pairs, d0, grad)
+        want = _two_loop_direction(pairs, H0, grad)
         got = memory.direction(grad)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     memory.clear()
     assert len(memory) == 0
-    grad = rng.normal(size=n)
+
+
+def test_lbfgs_compact_direction_matches_two_loop(rng):
+    """The compact-form direction equals the two-loop recursion's to
+    rounding, keeps the newest LBFGS_PAIRS accepted pairs through
+    evictions, skipped pairs and clear(), and is exactly -d0*g with no
+    pairs."""
+    d0 = rng.uniform(0.1, 2.0, size=37)
+    memory = _LbfgsMemory(d0)
+    _check_compact_direction(rng, memory, np.diag(d0))
+    grad = rng.normal(size=37)
     assert np.array_equal(memory.direction(grad), -d0 * grad)
+
+
+def test_lbfgs_dense_seed_matches_two_loop(rng):
+    """A 2-D seed is the matrix D itself, and the compact form still
+    equals the two-loop recursion with that seed."""
+    n = 36
+    root = rng.normal(size=(n, n))
+    D = root @ root.T / n + 0.1 * np.eye(n)
+    memory = _LbfgsMemory(D)
+    _check_compact_direction(rng, memory, D)
+    grad = rng.normal(size=n)
+    assert np.array_equal(memory.direction(grad), -(D @ grad))
 
 
 def test_objective_builds_one_sine_grid(monkeypatch):

@@ -19,7 +19,7 @@ from minact.verify import (SamplerOptions, VerifyError, check_hypotheses,
                            el_residual, energy_drift, holder_seminorm,
                            homotopy_equiv_sufficient, recover_multipliers,
                            _draw_samples, _el_residual_values,
-                           _project_feasible)
+                           _min_norm_step, _project_feasible)
 from minact.trajectory import sample
 
 from conftest import (constrained_planar_model, count_builds, count_calls,
@@ -217,6 +217,38 @@ def test_projection_runs_are_independent_of_sample_count(monkeypatch):
         assert rep.rank_ok
         assert 0 < len(runs) <= 2 * 60 + 1
         assert max(runs) == count
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_gram_step_equals_pinv_step(rng, l):
+    """The projection's step J^T beta, (J J^T) beta = -F, is pinv(J) @ -F
+    to 1e-12 relative on random full-row-rank stacks.  The Gram route
+    squares J's condition number, so the stacks' singular values are
+    drawn from [0.5, 2]."""
+    K, dim = 500, 3
+    U = np.linalg.qr(rng.normal(size=(K, l, l)))[0]
+    V = np.linalg.qr(rng.normal(size=(K, dim, l)))[0]
+    J = U * rng.uniform(0.5, 2.0, size=(K, 1, l)) @ np.swapaxes(V, 1, 2)
+    F = rng.normal(size=(K, l))
+    got = _min_norm_step(J, F)
+    want = (np.linalg.pinv(J) @ -F[..., None])[..., 0]
+    err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert np.max(err) <= 1e-12, np.max(err)
+
+
+def test_gram_step_takes_pinv_on_singular_rows(monkeypatch):
+    """A zero Jacobian and a duplicated constraint row make singular Gram
+    matrices: those rows, and only those, go through pinv and get pinv's
+    step; the regular row is solved."""
+    a = np.array([1.0, -2.0, 0.5])
+    J = np.array([np.zeros((2, 3)), [a, a], [a, [0.0, 1.0, 1.0]]])
+    F = np.array([[0.3, -0.1], [0.7, 0.7], [0.2, -0.4]])
+    want = (np.linalg.pinv(J) @ -F[..., None])[..., 0]
+    pinv_calls = count_calls(monkeypatch, np.linalg, "pinv")
+    got = _min_norm_step(J, F)
+    assert [len(args[0]) for args in pinv_calls] == [2]
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-15), (got, want)
+    assert np.array_equal(got[0], [0.0, 0.0, 0.0])
 
 
 def test_hypotheses_infeasible_constraint_warns():

@@ -59,8 +59,10 @@ STEP_TOL = 1e-14
 AL_MU = 1e3
 FEAS_TOL = 1e-12
 DIVERGE_FACTOR = 10.0
-LBFGS_PAIRS = 20
+LBFGS_PAIRS = 64
 CERT_SLACK = 1e-9
+# why the line search rejects a candidate, as counted in each history row
+REJECT_REASONS = ("armijo", "guard", "signature", "domain")
 
 
 @dataclass(frozen=True)
@@ -200,62 +202,81 @@ class _LbfgsMemory:
     O(N^2) conditioning that plain identity seeding suffers from.  A 2-D
     d0 is D itself, any symmetric positive definite matrix.
 
-    The k stored pairs are the rows of S and Y, oldest first.  With R the
-    upper triangle of S Y^T, the product H g is a few (k, n) and (k, k)
-    matrix products (Byrd, Nocedal and Schnabel, Math. Programming 63,
-    1994): push keeps R^-1, diag(S Y^T) and Y D Y^T current, and the
-    direction equals the two-loop recursion's up to rounding.
+    The newest k <= LBFGS_PAIRS pairs are the rows of S and Y, oldest
+    first.  With R the upper triangle of S Y^T, the product H g is a few
+    (k, n) and (k, k) matrix products (Byrd, Nocedal and Schnabel, Math.
+    Programming 63, 1994): push keeps R^-1, diag(S Y^T) and Y D Y^T
+    current, and the direction equals the two-loop recursion's up to
+    rounding.  A deep memory cuts the iterations of long solves (Liu and
+    Nocedal, Math. Programming 45, 1989): two_centers with three coils at
+    N = 48 takes 317 of them with 20 pairs and 160 with 64.
+
+    The pairs live in the window [lo, lo + k) of buffers with
+    2 LBFGS_PAIRS rows.  Dropping the oldest pair advances lo, and the
+    R^-1 and Y D Y^T of the rest are the trailing block of the old ones;
+    only a window that reaches the end of the buffers is copied to the
+    front, once every LBFGS_PAIRS pushes.
     """
 
     def __init__(self, d0: np.ndarray):
         self.D = (lambda v: d0 * v) if d0.ndim == 1 else (lambda v: d0 @ v)
-        n = len(d0)
-        self.k = 0
-        self.S = np.empty((LBFGS_PAIRS, n))
-        self.Y = np.empty((LBFGS_PAIRS, n))
-        self.sy = np.empty(LBFGS_PAIRS)  # diag(S Y^T)
+        n, rows = len(d0), 2 * LBFGS_PAIRS
+        self.lo = self.k = 0
+        self._S = np.empty((rows, n))
+        self._Y = np.empty((rows, n))
+        self._sy = np.empty(rows)  # diag(S Y^T)
         # the lower triangle of R^-1 is never written and stays zero
-        self.Rinv = np.zeros((LBFGS_PAIRS, LBFGS_PAIRS))
-        self.YDY = np.empty((LBFGS_PAIRS, LBFGS_PAIRS))
+        self._Rinv = np.zeros((rows, rows))
+        self._YDY = np.empty((rows, rows))
+
+    @property
+    def S(self) -> np.ndarray:
+        return self._S[self.lo:self.lo + self.k]
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self._Y[self.lo:self.lo + self.k]
 
     def __len__(self) -> int:
         return self.k
 
     def clear(self) -> None:
-        self.k = 0
+        self.lo = self.k = 0
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(np.dot(s, y))
         if sy <= 1e-10 * _norm(s) * _norm(y):
             return  # skip pairs that would break positive definiteness
-        k = self.k
+        lo, k = self.lo, self.k
         if k == LBFGS_PAIRS:
-            # drop the oldest pair: R^-1 of the rest is the trailing block
-            k -= 1
-            for a in (self.S, self.Y, self.sy):
-                a[:k] = a[1:]
-            for a in (self.Rinv, self.YDY):
-                a[:k, :k] = a[1:, 1:]
+            lo, k = lo + 1, k - 1  # drop the oldest pair
+        if lo + k == len(self._sy):  # at the end: move the window to the front
+            for a in (self._S, self._Y, self._sy):
+                a[:k] = a[lo:]
+            for a in (self._Rinv, self._YDY):
+                a[:k, :k] = a[lo:, lo:]
+            lo = 0
+        w, c = slice(lo, lo + k), lo + k  # the kept pairs, the new row
         # R gains the column (S y, s.y); R^-1 the column -R^-1 (S y) / s.y
-        self.Rinv[:k, k] = (self.Rinv[:k, :k] @ (self.S[:k] @ y)) / -sy
-        self.Rinv[k, k] = 1.0 / sy
+        self._Rinv[w, c] = (self._Rinv[w, w] @ (self._S[w] @ y)) / -sy
+        self._Rinv[c, c] = 1.0 / sy
         dy = self.D(y)
-        self.YDY[:k, k] = self.YDY[k, :k] = self.Y[:k] @ dy
-        self.YDY[k, k] = np.dot(y, dy)
-        self.S[k], self.Y[k], self.sy[k] = s, y, sy
-        self.k = k + 1
+        self._YDY[w, c] = self._YDY[c, w] = self._Y[w] @ dy
+        self._YDY[c, c] = np.dot(y, dy)
+        self._S[c], self._Y[c], self._sy[c] = s, y, sy
+        self.lo, self.k = lo, k + 1
 
     def direction(self, grad: np.ndarray) -> np.ndarray:
         """-H grad, with gamma = s.y / y.D y of the newest pair (1 with
         no pairs)."""
         dg = self.D(grad)
-        k = self.k
-        if not k:
+        if not self.k:
             return -dg
-        S, Y, Rinv = self.S[:k], self.Y[:k], self.Rinv[:k, :k]
-        gamma = self.sy[k - 1] / self.YDY[k - 1, k - 1]
+        w, c = slice(self.lo, self.lo + self.k), self.lo + self.k - 1
+        S, Y, Rinv = self._S[w], self._Y[w], self._Rinv[w, w]
+        gamma = self._sy[c] / self._YDY[c, c]
         p = Rinv @ (S @ grad)
-        x = self.sy[:k] * p + gamma * (self.YDY[:k, :k] @ p - Y @ dg)
+        x = self._sy[w] * p + gamma * (self._YDY[w, w] @ p - Y @ dg)
         return -(gamma * (dg - self.D(p @ Y)) + (x @ Rinv) @ S)
 
 
@@ -343,9 +364,11 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
 
     def finish(status: str) -> SolveResult:
         traj = obj.traj(b)  # the current iterate, with the loop's S, g, h1
-        # S_mu and its gradient hold the multiplier terms: drop them
-        S_b, g_b = (S, g) if lam is None else obj.value_and_grad(b, z)[:2]
-        report = ActionReport.of(model, traj, S_b, g_b, h1)
+        # S_mu holds the multiplier terms: the report's S drops them.  The
+        # gradient is the loop's, which a Converged solve leaves at that
+        # of S + (omega/M) sum lam f with the returned lam
+        S_b = S if lam is None else obj.value_and_grad(b, z)[0]
+        report = ActionReport.of(model, traj, S_b, g, h1)
         sig = None
         if track_signature:
             try:
@@ -364,10 +387,12 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
         retried_steepest = False
         while True:
             gn = _norm(g)
+            # the candidates rejected by the line search from this row
+            rejected = dict.fromkeys(REJECT_REASONS, 0)
             history.append({
                 "iter": total_iter, "mu": mu, "S_mu": S,
                 "grad_norm": gn,
-                "min_distance": dist, "h1": h1,
+                "min_distance": dist, "h1": h1, "rejected": rejected,
             })
             if gn <= opts.grad_tol and not updated:
                 break  # round converged
@@ -396,6 +421,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                 z_cand, d = obj.nodes(cand)
                 if d <= opts.guard_delta:
                     reject_reason = "guard"
+                    rejected["guard"] += 1
                     alpha *= 0.5
                     continue
                 try:
@@ -403,6 +429,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                         cand, z_cand, lam)
                 except ex.EvalDomainError as err:
                     reject_reason = "domain"
+                    rejected["domain"] += 1
                     domain_err = err
                     alpha *= 0.5
                     continue
@@ -411,6 +438,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                 noise = 4.0 * np.finfo(float).eps * (1.0 + abs(S))
                 if S_cand > S + 1e-4 * alpha * dgd + noise:
                     reject_reason = "armijo"
+                    rejected["armijo"] += 1
                     alpha *= 0.5
                     continue
                 if track_signature and alpha * reach >= clear:
@@ -421,6 +449,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                         ws = None
                     if ws != seed_windings:
                         reject_reason = "signature"
+                        rejected["signature"] += 1
                         alpha *= 0.5
                         continue
                 accepted = (cand, z_cand, S_cand, g_cand, F_cand, d)

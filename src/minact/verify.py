@@ -208,7 +208,15 @@ def _min_norm_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
 def _gram_solve(J: np.ndarray, rhs: np.ndarray):
     """x with (J J^T) x = rhs per row, J (M, l, dim) and rhs (M, l): one
     batched solve, and pinv for a Gram matrix whose least eigenvalue is at
-    most 1e-12 times its largest.  Returns (x, whether any row was)."""
+    most 1e-12 times its largest.  Returns (x, whether any row was).  For
+    l = 1 the Gram matrix is |J|^2 and the solve a division (bit for bit
+    LAPACK's), zero where J is: pinv's value."""
+    if J.shape[1] == 1:
+        gram = np.einsum("mld,mld->ml", J, J)
+        good = gram > 0.0
+        x = np.zeros(rhs.shape)
+        x[good] = rhs[good] / gram[good]
+        return x, not np.all(good)
     gram = np.einsum("mld,mkd->mlk", J, J)
     ev = np.linalg.eigvalsh(gram)
     good = ev[:, 0] > 1e-12 * np.maximum(ev[:, -1], 1e-300)
@@ -334,7 +342,9 @@ def check_hypotheses(model: ModelSpec,
         else:
             J, ok, errors = _by_rows(terms.constraint_jacobian_at, t[idx],
                                      zf[idx], (l, dim))
-            sv = np.linalg.svd(J, compute_uv=False)  # (found, min(l, dim))
+            # (found, min(l, dim)); one constraint's is its gradient norm
+            sv = (np.sqrt(np.einsum("mld,mld->ml", J, J)) if l == 1
+                  else np.linalg.svd(J, compute_uv=False))
             top = sv[:, 0]
             rank_tol = 1e-8 * np.where(top > 0, top, 1.0)
             bad = ~ok | (sv[:, -1] <= rank_tol) | (sv.shape[1] < l)

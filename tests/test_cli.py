@@ -267,7 +267,7 @@ def test_solve_history_file(tmp_path):
     for line in lines:
         rec = json.loads(line)
         assert set(rec) == {"iter", "mu", "S_mu", "grad_norm",
-                            "min_distance", "h1"}, sorted(rec)
+                            "min_distance", "h1", "rejected"}, sorted(rec)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from minact import expr as ex
 from minact.action import LagrangianTerms, action, action_report
 from minact.model import Constraint, GrowthConstants, ModelSpec, builtin, \
     singular_set
-from minact.optimize import (AL_MU, LBFGS_PAIRS, OptimizeError,
-                             SolveOptions, _LbfgsMemory, _Objective,
-                             minimize, solve_in_class)
+from minact.optimize import (AL_MU, LBFGS_PAIRS, REJECT_REASONS,
+                             OptimizeError, SolveOptions, _LbfgsMemory,
+                             _Objective, minimize, solve_in_class)
 from minact.trajectory import (FourierTrajectory, SineGrid, evaluate_path,
                                h1_seminorm, sample, seed_curve,
                                winding_signature)
@@ -84,12 +84,16 @@ def test_two_centers_one_coil():
 
 
 def test_two_centers_three_coils():
-    """Higher coil counts stay in class: windings (-3, +3)."""
+    """Higher coil counts stay in class: windings (-3, +3).  The solve
+    winds around sigma three times and is the longest of two_centers; a
+    deep L-BFGS memory converges it in at most 220 iterations (20 pairs
+    took 317)."""
     model = builtin("two_centers")
     res = solve_in_class(model, 3, SolveOptions(N=48, max_iters=4000))
     assert res.status == "Converged", f"status {res.status}"
     assert res.signature.windings == {(1.0, 0.0): -3, (-1.0, 0.0): 3}
     assert res.report.min_distance > 0.05
+    assert res.history[-1]["iter"] <= 220, res.history[-1]["iter"]
 
 
 def test_guard_triggered_on_shrinking_loop():
@@ -101,6 +105,40 @@ def test_guard_triggered_on_shrinking_loop():
     # the iterate is parked just outside the guard ring, class intact
     assert abs(res.report.min_distance - 1e-3) < 1e-4
     assert res.signature.windings == {(0.5, 0.0): -1, (-0.5, 0.0): 1}
+
+
+def _rejections(history):
+    """Line-search rejections summed over the history, by reason."""
+    total = dict.fromkeys(REJECT_REASONS, 0)
+    for row in history:
+        for reason, count in row["rejected"].items():
+            total[reason] += count
+    return total
+
+
+def test_history_counts_line_search_rejections(monkeypatch):
+    """Each history row counts the candidates its line search rejected,
+    by reason.  Every candidate gets one node-guard call, so the guard
+    calls after the seed's are the accepted steps plus the rejections.
+    A two-coil solve backtracks on Armijo alone.  The shrinking loop
+    meets the guard ring, where its line searches reject on the guard and
+    on the winding signature, and its last search ends on the guard."""
+    nodes = count_calls(monkeypatch, _Objective, "nodes")
+    cases = [(solve_in_class(builtin("two_centers"), 2, SolveOptions(N=16)),
+              "Converged", {"armijo"}),
+             (minimize(shrinking_loop_model(),
+                       seed_curve(1, singular_set(shrinking_loop_model()),
+                                  TWO_PI, 8),
+                       SolveOptions(N=8, max_iters=600)),
+              "GuardTriggered", {"guard", "signature"})]
+    candidates = 0
+    for res, status, reasons in cases:
+        assert res.status == status
+        total = _rejections(res.history)
+        assert {r for r, count in total.items() if count} == reasons, total
+        candidates += 1 + res.history[-1]["iter"] + sum(total.values())
+    assert len(nodes) == candidates
+    assert res.history[-1]["rejected"]["guard"] > 0
 
 
 def test_signature_changed_on_forced_crossing():
@@ -164,6 +202,22 @@ def test_constrained_run_meets_feasibility_and_multipliers(monkeypatch, N):
     assert gap <= 1e-8 * np.max(np.abs(alpha)), f"multiplier gap {gap}"
 
 
+def test_constrained_report_gradient_is_the_loops():
+    """A Converged constrained solve reports the gradient the loop stopped
+    on, that of S + (omega/M) sum lam f with the returned multipliers, so
+    its grad_norm meets grad_tol.  The action's own gradient holds the
+    reaction force and does not vanish; S is the action without the
+    multiplier terms, as action_report computes it."""
+    model, opts = constrained_planar_model(), SolveOptions(N=24)
+    res = solve_in_class(model, None, opts)
+    assert res.status == "Converged"
+    assert res.report.grad_norm <= opts.grad_tol, res.report.grad_norm
+    assert res.report.grad_norm == res.history[-1]["grad_norm"]
+    plain = action_report(model, res.trajectory, opts.M)
+    assert plain.grad_norm > 0.1, plain.grad_norm
+    assert res.report.S == plain.S and res.report.h1 == plain.h1
+
+
 def test_history_monotone_within_multiplier_round():
     """One fixed mu serves every round, and accepted steps never raise
     S_mu beyond rounding within a round.  Every multiplier update, which
@@ -217,8 +271,10 @@ def test_history_rows_have_diagnostics():
     res = solve_in_class(builtin("two_centers"), 1, SolveOptions(N=16))
     row = res.history[0]
     assert set(row) == {"iter", "mu", "S_mu", "grad_norm", "min_distance",
-                        "h1"}
+                        "h1", "rejected"}
     assert row["iter"] == 0 and row["min_distance"] > 0.05
+    assert set(row["rejected"]) == set(REJECT_REASONS) == {
+        "armijo", "guard", "signature", "domain"}
 
 
 def test_determinism_identical_histories():
@@ -415,6 +471,7 @@ def test_line_search_rejects_candidates_outside_the_domain(monkeypatch):
     assert res.status == "Converged"
     assert errors == ["log of nonpositive value in subexpression "
                       "'log(4 - z1^2)'"] * 3
+    assert _rejections(res.history)["domain"] == 3
     assert np.max(np.abs(sample(res.trajectory, 64).z)) < 2.0
 
 
@@ -500,30 +557,40 @@ def _two_loop_direction(pairs, H0, grad):
 
 def _check_compact_direction(rng, memory, H0):
     """Push pairs into memory and compare each direction with the
-    two-loop recursion's, through evictions, skipped pairs and clear()."""
+    two-loop recursion's, through evictions, skipped pairs, window copies
+    and clear().  About 3.4 LBFGS_PAIRS pairs are kept before the clear,
+    so the window of the newest pairs reaches the end of its buffer of
+    2 LBFGS_PAIRS rows and moves to the front at least once; after the
+    clear it fills from the front again."""
     n = len(H0)
     kept = []
-    for step in range(3 * LBFGS_PAIRS + 5):
-        if step == 2 * LBFGS_PAIRS:
+    copies = 0
+    for step in range(5 * LBFGS_PAIRS + 5):
+        if step == 4 * LBFGS_PAIRS:
             memory.clear()
             kept.clear()
         s = rng.normal(size=n)
         # mostly curvature-positive pairs; every seventh is skipped
         y = (-s if step % 7 == 3 else s * rng.uniform(0.5, 3.0, size=n)
              + 0.1 * rng.normal(size=n))
+        lo = memory.lo
         memory.push(s, y)
+        copies += memory.lo < lo
         if step % 7 != 3:
             kept.append((s, y))
         pairs = kept[-LBFGS_PAIRS:]
         assert len(memory) == len(pairs)
-        assert np.array_equal(memory.S[:len(memory)], [p[0] for p in pairs])
-        assert np.array_equal(memory.Y[:len(memory)], [p[1] for p in pairs])
+        assert np.array_equal(memory.S, np.reshape([p[0] for p in pairs],
+                                                   (-1, n)))
+        assert np.array_equal(memory.Y, np.reshape([p[1] for p in pairs],
+                                                   (-1, n)))
         grad = rng.normal(size=n)
         want = _two_loop_direction(pairs, H0, grad)
         got = memory.direction(grad)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert copies >= 1, "the window never reached the end of its buffer"
     memory.clear()
-    assert len(memory) == 0
+    assert len(memory) == 0 and memory.lo == 0
 
 
 def test_lbfgs_compact_direction_matches_two_loop(rng):
@@ -591,5 +658,8 @@ def test_unconstrained_report_comes_from_the_loop(monkeypatch):
             (constrained_planar_model(), FourierTrajectory(
                 TWO_PI, (), 0.1 * np.ones((6, 2))), SolveOptions(N=6))):
         res = minimize(model, seed, opts)
-        assert _report_bits(res.report) == _report_bits(
-            action_report(model, res.trajectory, opts.M))
+        # a constrained grad_norm is the loop's, with the multiplier terms
+        got, want = (replace(r, grad_norm=0.0) if model.constraints else r
+                     for r in (res.report, action_report(
+                         model, res.trajectory, opts.M)))
+        assert _report_bits(got) == _report_bits(want)

@@ -220,20 +220,44 @@ def test_projection_runs_are_independent_of_sample_count(monkeypatch):
 
 
 @pytest.mark.parametrize("l", [1, 2])
-def test_gram_step_equals_pinv_step(rng, l):
+def test_gram_step_equals_pinv_step(rng, l, monkeypatch):
     """The projection's step J^T beta, (J J^T) beta = -F, is pinv(J) @ -F
     to 1e-12 relative on random full-row-rank stacks.  The Gram route
     squares J's condition number, so the stacks' singular values are
-    drawn from [0.5, 2]."""
+    drawn from [0.5, 2].  A single constraint's Gram matrix is 1x1: the
+    step is a division, with no LAPACK call, and a zero row (a vanishing
+    gradient) gets pinv's zero step."""
     K, dim = 500, 3
     U = np.linalg.qr(rng.normal(size=(K, l, l)))[0]
     V = np.linalg.qr(rng.normal(size=(K, dim, l)))[0]
     J = U * rng.uniform(0.5, 2.0, size=(K, 1, l)) @ np.swapaxes(V, 1, 2)
+    J[7] = 0.0
     F = rng.normal(size=(K, l))
+    lapack = [count_calls(monkeypatch, np.linalg, name)
+              for name in ("eigvalsh", "solve", "pinv")]
     got = _min_norm_step(J, F)
+    if l == 1:
+        assert lapack == [[], [], []]
     want = (np.linalg.pinv(J) @ -F[..., None])[..., 0]
-    err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert np.array_equal(got[7], np.zeros(dim)) and np.array_equal(
+        want[7], np.zeros(dim))
+    keep = np.arange(K) != 7
+    err = (np.linalg.norm(got - want, axis=1)[keep]
+           / np.linalg.norm(want, axis=1)[keep])
     assert np.max(err) <= 1e-12, np.max(err)
+
+
+def test_single_constraint_rank_is_the_gradient_norm(monkeypatch):
+    """For one constraint the rank check's singular value is the norm of
+    the constraint gradient, read without an SVD: on the circle
+    z1^2 + z2^2 = 4 every feasible point has |grad f| = 2|z| = 4."""
+    model = flat_model(constraints=(
+        Constraint(ex.parse("z1^2 + z2^2 - 4", 2), "even"),))
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    rep = check_hypotheses(model)
+    assert svd == []
+    assert rep.rank_ok and abs(rep.rank_min_sv - 4.0) <= 1e-9, \
+        rep.rank_min_sv
 
 
 def test_gram_step_takes_pinv_on_singular_rows(monkeypatch):

@@ -27,7 +27,7 @@ import numpy as np
 from .action import LagrangianTerms, coercivity_margin
 from .expr import ExprError
 from .model import ModelError, ModelSpec, load_model, nearest_distances, \
-    builtin, singular_set, with_nu, with_omega, BUILTIN_NAMES
+    builtin, singular_set, with_nu, with_omega, write_json, BUILTIN_NAMES
 from .optimize import OptimizeError, SolveOptions, solve_in_class
 from .trajectory import TrajectoryError, load_coeffs, sample, save_coeffs, \
     write_trajectory_csv
@@ -153,11 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    path.write_text(text + "\n", encoding="utf-8")
-
-
 def cmd_check(args) -> int:
     model = _model_from_args(args)
     sampler = SamplerOptions(count=args.samples,
@@ -166,7 +161,7 @@ def cmd_check(args) -> int:
     report = check_hypotheses(model, sampler)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report.to_dict())
+    write_json(out / "report.json", report.to_dict())
     verdict = "PASS" if report.overall else "FAIL"
     print(f"hypotheses: {verdict} (margin = {report.margin!r})")
     for v in report.violated:
@@ -212,7 +207,7 @@ def cmd_solve(args) -> int:
     save_coeffs(result.trajectory, out / "coeffs.json")
     payload = result.to_dict()
     payload["residual"] = None if residual is None else residual.to_dict()
-    _write_json(out / "result.json", payload)
+    write_json(out / "result.json", payload)
     if args.history_file:
         with open(args.history_file, "w", encoding="utf-8",
                   newline="\n") as fh:

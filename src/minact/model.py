@@ -600,6 +600,14 @@ def json_field(data, name: str, read, default=None, error=ModelError):
                     f"{type(err).__name__}: {err}") from err
 
 
+def write_json(path, payload) -> None:
+    """Write payload as a JSON file: sorted keys, indent 2, LF endings and
+    a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def model_from_dict(data: dict) -> ModelSpec:
     """Build a ModelSpec from parsed model-file JSON; a missing or
     malformed field raises a ModelError naming it."""
@@ -634,7 +642,5 @@ def load_model(path) -> ModelSpec:
 
 
 def save_model(model: ModelSpec, path) -> None:
-    """Write a JSON model file (sorted keys, LF endings)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Write a JSON model file (see write_json)."""
+    write_json(path, model_to_dict(model))

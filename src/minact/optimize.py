@@ -163,13 +163,12 @@ class _Objective:
 
     def windings(self, b_flat: np.ndarray):
         """Winding dict on the default winding grid or, failing that, on
-        twice as many nodes.
-
-        A curve classified on neither passes too close to a singular point
-        to certify its class: a WindingRefinementError, which callers treat
-        as a conservative rejection.
-        """
-        return refine_windings(self.traj(b_flat), self.sig_centers, 1)
+        twice as many nodes; None for a curve classified on neither, which
+        passes too close to a singular point to certify its class."""
+        try:
+            return refine_windings(self.traj(b_flat), self.sig_centers, 1)
+        except WindingRefinementError:
+            return None
 
     def h1(self, b_flat: np.ndarray) -> float:
         """h1_seminorm of the trajectory b, bit for bit."""
@@ -291,7 +290,8 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                        grew past DIVERGE_FACTOR times the seed scale;
       GuardTriggered   no step exists keeping guard_delta clearance;
       SignatureChanged no step exists keeping the seed's windings;
-      MaxIter          iteration budget exhausted.
+      MaxIter          iteration budget exhausted, or Armijo still failed
+                       after the one steepest-descent retry.
     """
     if seed.N != opts.N:
         raise OptimizeError(
@@ -304,8 +304,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
     if seed.nu != model.nu:
         raise OptimizeError("seed winding vector differs from the model")
     obj = _Objective(model, seed, opts.M)
-    sigma = obj.sigma
-    track_signature = (not sigma.is_empty()) and model.m == 2 \
+    track_signature = (not obj.sigma.is_empty()) and model.m == 2 \
         and model.n == 0
     # the iterate b carries its node positions, distance, H1 norm and
     # clearance bound, computed once when it is accepted
@@ -314,7 +313,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
     seed_windings = None
     if track_signature:
         try:
-            seed_sig = winding_signature(seed, sigma)
+            seed_sig = winding_signature(seed, obj.sigma)
         except WindingRefinementError as err:
             raise OptimizeError(
                 f"seed cannot be classified against sigma: {err}") from err
@@ -372,126 +371,106 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
         sig = None
         if track_signature:
             try:
-                sig = winding_signature(traj, sigma)
+                sig = winding_signature(traj, obj.sigma)
             except WindingRefinementError:
-                pass  # unclassifiable: not Converged, see below
-        if status == "Converged" and track_signature:
-            if sig is None or sig.windings != seed_windings:
+                pass  # unclassifiable: not Converged
+            if status == "Converged" and (sig is None
+                                          or sig.windings != seed_windings):
                 status = "SignatureChanged"
         return SolveResult(trajectory=traj, status=status, report=report,
                            history=history, signature=sig, multipliers=lam)
 
     memory = _LbfgsMemory(h0)
-    updated = False  # the multipliers changed since the last step
-    while True:  # one round per multiplier estimate
-        retried_steepest = False
-        while True:
-            gn = _norm(g)
-            # the candidates rejected by the line search from this row
-            rejected = dict.fromkeys(REJECT_REASONS, 0)
-            history.append({
-                "iter": total_iter, "mu": mu, "S_mu": S,
-                "grad_norm": gn,
-                "min_distance": dist, "h1": h1, "rejected": rejected,
-            })
-            if gn <= opts.grad_tol and not updated:
-                break  # round converged
-            if total_iter >= opts.max_iters:
-                return finish("MaxIter")
-            direction = memory.direction(g)
-            dgd = float(np.dot(direction, g))
-            if dgd >= 0.0:
-                direction = -g
-                dgd = -float(np.dot(g, g))
-                memory.clear()
-            if not memory:
-                # first step, or first after a reset: conservative scale
-                scale = 1.0 / max(1.0, _norm(direction))
-                direction = direction * scale
-                dgd *= scale
-            # a step of alpha moves no point of the curve beyond alpha*reach
-            reach = float(np.sum(_row_norms(direction.reshape(obj.shape))))
+    # the multipliers changed since the last step; the steepest-descent
+    # retry was taken from the current iterate
+    updated = retried = False
+    while True:
+        gn = _norm(g)
+        # the candidates rejected by the line search from this row
+        rejected = dict.fromkeys(REJECT_REASONS, 0)
+        history.append({
+            "iter": total_iter, "mu": mu, "S_mu": S, "grad_norm": gn,
+            "min_distance": dist, "h1": h1, "rejected": rejected,
+        })
+        if gn <= opts.grad_tol and not updated:
+            if lam is not None:
+                lam += mu * F  # the next estimate, from the round's own f
+            if lam is None or np.max(np.abs(F)) <= FEAS_TOL:
+                return finish("Converged")
+            # a gradient below grad_tol may still hide an f above
+            # FEAS_TOL: the next round takes at least one step
+            S, g, F = evaluate(b, z)
+            updated = True
+            continue
+        if total_iter >= opts.max_iters:
+            return finish("MaxIter")
+        direction = memory.direction(g)
+        dgd = float(np.dot(direction, g))
+        if dgd >= 0.0:
+            direction = -g
+            dgd = -float(np.dot(g, g))
+            memory.clear()
+        if not memory:
+            # first step, or first after a reset: conservative scale
+            scale = 1.0 / max(1.0, _norm(direction))
+            direction = direction * scale
+            dgd *= scale
+        # a step of alpha moves no point of the curve beyond alpha*reach
+        reach = float(np.sum(_row_norms(direction.reshape(obj.shape))))
+        # Armijo with a rounding allowance: near the minimum the demanded
+        # decrease falls below the resolution of S itself
+        noise = 4.0 * np.finfo(float).eps * (1.0 + abs(S))
 
-            alpha = 1.0
-            reject_reason = "armijo"
-            domain_err = None
-            accepted = None
-            while alpha >= STEP_TOL:
-                cand = b + alpha * direction
-                z_cand, d = obj.nodes(cand)
-                if d <= opts.guard_delta:
-                    reject_reason = "guard"
-                    rejected["guard"] += 1
-                    alpha *= 0.5
-                    continue
-                try:
-                    S_cand, g_cand, F_cand = obj.value_and_grad(
-                        cand, z_cand, lam)
-                except ex.EvalDomainError as err:
-                    reject_reason = "domain"
-                    rejected["domain"] += 1
-                    domain_err = err
-                    alpha *= 0.5
-                    continue
-                # Armijo with a rounding allowance: near the minimum the
-                # demanded decrease falls below the resolution of S itself
-                noise = 4.0 * np.finfo(float).eps * (1.0 + abs(S))
-                if S_cand > S + 1e-4 * alpha * dgd + noise:
-                    reject_reason = "armijo"
-                    rejected["armijo"] += 1
-                    alpha *= 0.5
-                    continue
-                if track_signature and alpha * reach >= clear:
-                    # not certified by the clearance bound: classify
-                    try:
-                        ws = obj.windings(cand)
-                    except WindingRefinementError:
-                        ws = None
-                    if ws != seed_windings:
-                        reject_reason = "signature"
-                        rejected["signature"] += 1
-                        alpha *= 0.5
-                        continue
-                accepted = (cand, z_cand, S_cand, g_cand, F_cand, d)
+        def candidate(alpha):
+            """A reason from REJECT_REASONS and its domain error, if any; or
+            None and the candidate's b, z, S_mu, g, f and node distance."""
+            cand = b + alpha * direction
+            z_cand, d = obj.nodes(cand)
+            if d <= opts.guard_delta:
+                return "guard", None
+            try:
+                S_cand, g_cand, F_cand = obj.value_and_grad(cand, z_cand, lam)
+            except ex.EvalDomainError as err:
+                return "domain", err
+            if S_cand > S + 1e-4 * alpha * dgd + noise:
+                return "armijo", None
+            # a step not certified by the clearance bound is classified
+            if track_signature and alpha * reach >= clear \
+                    and obj.windings(cand) != seed_windings:
+                return "signature", None
+            return None, (cand, z_cand, S_cand, g_cand, F_cand, d)
+
+        alpha = 1.0
+        while alpha >= STEP_TOL:
+            reason, found = candidate(alpha)
+            if reason is None:
                 break
+            rejected[reason] += 1
+            alpha *= 0.5
+        else:
+            if reason == "domain":
+                raise OptimizeError(
+                    f"expression domain error persisted through the line "
+                    f"search at iteration {total_iter}: {found}")
+            if reason == "armijo" and memory and not retried:
+                # Armijo stalled on the quasi-Newton direction; retry once
+                # from plain steepest descent before giving up
+                memory.clear()
+                retried = True
+                continue
+            return finish({"guard": "GuardTriggered",
+                           "signature": "SignatureChanged"}.get(reason,
+                                                                "MaxIter"))
 
-            if accepted is None:
-                if reject_reason == "guard":
-                    return finish("GuardTriggered")
-                if reject_reason == "signature":
-                    return finish("SignatureChanged")
-                if reject_reason == "domain":
-                    raise OptimizeError(
-                        f"expression domain error persisted through the "
-                        f"line search at iteration {total_iter}: "
-                        f"{domain_err}")
-                if memory and not retried_steepest:
-                    # Armijo stalled on the quasi-Newton direction; retry
-                    # once from plain steepest descent before giving up
-                    memory.clear()
-                    retried_steepest = True
-                    continue
-                return finish("MaxIter")
-
-            cand, z, S_cand, g_cand, F, dist = accepted
-            memory.push(cand - b, g_cand - g)
-            b, S, g = cand, S_cand, g_cand
-            h1 = obj.h1(b)
-            clear = obj.clearance(b, dist)
-            retried_steepest = updated = False
-            total_iter += 1
-
-            if h1 > diverge_h1:
-                return finish("Diverged")
-
-        if lam is not None:
-            lam += mu * F  # the next estimate, from the round's own f
-        if lam is None or np.max(np.abs(F)) <= FEAS_TOL:
-            return finish("Converged")
-        # a gradient below grad_tol may still hide an f above FEAS_TOL:
-        # the next round takes at least one step
-        S, g, F = evaluate(b, z)
-        updated = True
+        cand, z, S_cand, g_cand, F, dist = found
+        memory.push(cand - b, g_cand - g)
+        b, S, g = cand, S_cand, g_cand
+        h1 = obj.h1(b)
+        clear = obj.clearance(b, dist)
+        retried = updated = False
+        total_iter += 1
+        if h1 > diverge_h1:
+            return finish("Diverged")
 
 
 def solve_in_class(model: ModelSpec, homotopy_class, opts: SolveOptions,

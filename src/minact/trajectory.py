@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import SingularSet, _nearest, enumerate_planar, exact_int, \
-    json_field, nearest_distances, nearest_singular
+    json_field, nearest_distances, nearest_singular, write_json
 
 __all__ = [
     "FourierTrajectory", "SampledPath", "SineGrid", "HomotopySignature",
@@ -279,18 +279,19 @@ def windings_of_closed_points(points: np.ndarray, centers) -> dict | None:
     return {center: int(k) for center, k in zip(centers, w)}
 
 
-def _distance_profile(traj: FourierTrajectory, s: SingularSet, M: int):
+def _distance_profile(traj: FourierTrajectory, s: SingularSet):
     """FFT-sampled points and node distances, and the refined minimum.
 
-    Every sampled local minimum is refined at once by safeguarded Newton
-    steps toward the nearest time of the curve to the node's nearest
-    singular point, inside the bracket of its two neighbour nodes; the
-    minimum is the least of the node distances and the distances at the
-    refined times, so it is always attained by the curve.  Computed once
-    per (s, grid size) for a trajectory; the arrays are read-only.
+    The points are max(16N, 1024) uniform nodes, the default winding grid
+    or finer.  Every sampled local minimum is refined at once by
+    safeguarded Newton steps toward the nearest time of the curve to the
+    node's nearest singular point, inside the bracket of its two neighbour
+    nodes; the minimum is the least of the node distances and the
+    distances at the refined times, so it is always attained by the curve.
+    Computed once per s for a trajectory; the arrays are read-only.
     """
-    M = max(int(M), 4 * traj.N + 4, 64)
-    return traj._memoized(("profile", s, M),
+    M = max(_winding_nodes(traj), 1024)
+    return traj._memoized(("profile", s),
                           lambda: _compute_profile(traj, s, M))
 
 
@@ -327,48 +328,49 @@ def _compute_profile(traj: FourierTrajectory, s: SingularSet, M: int):
     return pts, d, best
 
 
-def min_distance_to(traj: FourierTrajectory, s: SingularSet,
-                    M: int = 1024) -> float:
+def min_distance_to(traj: FourierTrajectory, s: SingularSet) -> float:
     """Distance from the curve to the singular set over one period.
 
-    Dense uniform sampling followed by Newton refinement around every
-    sampled local minimum (see _distance_profile).
+    Uniform sampling on max(16N, 1024) nodes followed by Newton refinement
+    around every sampled local minimum (see _distance_profile); the
+    profile is shared with winding_signature.
     """
     if s.is_empty():
         return math.inf
-    return _distance_profile(traj, s, M)[2]
+    return _distance_profile(traj, s)[2]
 
 
-def winding_signature(traj: FourierTrajectory, s: SingularSet,
-                      M: int | None = None) -> HomotopySignature:
+def winding_signature(traj: FourierTrajectory,
+                      s: SingularSet) -> HomotopySignature:
     """Winding numbers around the planar singular points plus clearance.
 
     Windings are computed only when m = 2, n = 0 (closed planar curves),
-    by refine_windings from M nodes (its default when None) with at least
-    eight doublings and up to 2^20 nodes; a curve whose clearance is zero
-    to rounding is refused before any sampling.  min_distance and the
-    clearance integral are computed for any dimensions.  Computed once per
-    (s, M) for a trajectory, so repeated calls return the same object.
+    by refine_windings from the default winding grid, max(16N, 64) nodes,
+    with at least eight doublings and up to 2^20 nodes; a curve whose
+    clearance is zero to rounding is refused before any sampling.
+    min_distance and the clearance integral are computed for any
+    dimensions, from the distance profile min_distance_to reads.  Computed
+    once per s for a trajectory, so repeated calls return the same object.
     """
-    M = _winding_nodes(traj) if M is None else int(M)
-    return traj._memoized(("signature", s, M),
-                          lambda: _compute_signature(traj, s, M))
+    return traj._memoized(
+        ("signature", s),
+        lambda: _compute_signature(traj, s, _winding_nodes(traj)))
 
 
 def _winding_nodes(traj: FourierTrajectory) -> int:
     return max(16 * traj.N, 64)  # the default winding grid
 
 
-def refine_windings(traj: FourierTrajectory, centers, doublings: int,
-                    M: int | None = None) -> dict:
+def refine_windings(traj: FourierTrajectory, centers,
+                    doublings: int) -> dict:
     """Windings about centers on M, 2M, ..., 2^doublings M uniform nodes.
 
-    M defaults to 16 nodes per mode, at least 64.  Each grid is sampled by
-    uniform_positions and classified by windings_of_closed_points; the
-    first grid that classifies gives the windings.  Raises
-    WindingRefinementError when none does.
+    M is the default winding grid, 16 nodes per mode and at least 64.
+    Each grid is sampled by uniform_positions and classified by
+    windings_of_closed_points; the first grid that classifies gives the
+    windings.  Raises WindingRefinementError when none does.
     """
-    M = _winding_nodes(traj) if M is None else M
+    M = _winding_nodes(traj)
     for level in (M << k for k in range(doublings + 1)):
         windings = windings_of_closed_points(uniform_positions(traj, level),
                                              centers)
@@ -384,7 +386,7 @@ def _compute_signature(traj: FourierTrajectory, s: SingularSet,
     if s.is_empty():
         return HomotopySignature(windings={}, min_distance=math.inf,
                                  clearance_integral=0.0)
-    pts, d, dist = _distance_profile(traj, s, max(M, 1024))
+    pts, d, dist = _distance_profile(traj, s)
     windings = {}
     if s.m == 2 and s.n == 0 and traj.dim == 2:
         centers = enumerate_planar(s)
@@ -396,7 +398,7 @@ def _compute_signature(traj: FourierTrajectory, s: SingularSet,
                 f"cannot classify the windings around {centers}: the curve "
                 f"passes through the singular set (clearance {dist:.3e})")
         windings = refine_windings(
-            traj, centers, max(8, math.ceil(math.log2((1 << 20) / M))), M)
+            traj, centers, max(8, math.ceil(math.log2((1 << 20) / M))))
     # clearance integral against the fixed singular point nearest to the
     # curve, by the same uniform quadrature the action uses
     _, witness = nearest_singular(s, pts[int(np.argmin(d))])
@@ -578,9 +580,7 @@ def trajectory_from_dict(data: dict) -> FourierTrajectory:
 
 
 def save_coeffs(traj: FourierTrajectory, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(coeffs_to_dict(traj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, coeffs_to_dict(traj))
 
 
 def load_coeffs(path) -> FourierTrajectory:

@@ -75,23 +75,12 @@ class HypothesisReport:
     warnings: list
 
     def to_dict(self) -> dict:
+        # a witness's arrays (points, singular values) become lists
         return {**asdict(self),
-                "witnesses": {k: _witness_jsonable(v)
-                              for k, v in self.witnesses.items()}}
-
-
-def _witness_jsonable(w: dict) -> dict:
-    out = {}
-    for k, v in w.items():
-        if isinstance(v, np.ndarray):
-            out[k] = [float(x) for x in v]
-        elif isinstance(v, (np.floating, np.integer)):
-            out[k] = float(v)
-        elif isinstance(v, tuple):
-            out[k] = [float(x) for x in v]
-        else:
-            out[k] = v
-    return out
+                "witnesses": {name: {k: v.tolist()
+                                     if isinstance(v, np.ndarray) else v
+                                     for k, v in w.items()}
+                              for name, w in self.witnesses.items()}}
 
 
 def _draw_samples(model: ModelSpec, sampler: SamplerOptions):
@@ -303,7 +292,7 @@ def check_hypotheses(model: ModelSpec,
             m_i, d_i = np.unravel_index(int(np.argmax(bad)), bad.shape)
             witnesses["bound_a"] = {
                 "t": float(t[m_i]), "z": z[m_i].copy(),
-                "component": d_i, "value": float(a_vals[m_i, d_i]),
+                "component": int(d_i), "value": float(a_vals[m_i, d_i]),
                 "cap": float(cap[m_i])}
     except ex.EvalDomainError as err:
         warnings.append(f"gyro bound check skipped: {err}")

@@ -54,6 +54,12 @@ def test_criterion_01_counterexample_rejection():
 
     res = solve_in_class(model, None, SolveOptions(N=8))
     assert res.status == "Diverged", f"status = {res.status}"
+    # iteration 2's quasi-Newton search stalls on Armijo through all 47
+    # halvings; the steepest-descent retry, a second row for the same
+    # iterate, accepts its first candidate
+    assert [(row["iter"], row["rejected"]) for row in res.history] == [
+        (i, dict(armijo=a, guard=0, signature=0, domain=0))
+        for i, a in ((0, 0), (1, 0), (2, 47), (2, 0), (3, 0), (4, 46))]
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"criterion 1 took {elapsed:.1f}s (budget 5s)"
 

@@ -306,10 +306,17 @@ def test_solver_option_validation():
 
 
 def test_seed_mode_count_mismatch():
+    """solve_in_class refuses a seed with more modes than N; minimize
+    refuses any seed whose N differs from the options'."""
     model = coercive_oscillator_model()
     seed = FourierTrajectory(model.omega, (), np.zeros((16, 1)))
-    with pytest.raises(OptimizeError):
+    with pytest.raises(OptimizeError, match="more modes"):
         solve_in_class(model, seed, SolveOptions(N=8))
+    for N in (8, 32):
+        with pytest.raises(OptimizeError,
+                           match=f"seed has N = 16 but options request "
+                                 f"N = {N}"):
+            minimize(model, seed, SolveOptions(N=N))
 
 
 def test_seed_zero_padding():
@@ -359,13 +366,33 @@ def test_minimize_rejects_seed_of_another_dimension():
 
 
 def test_seed_too_close_to_sigma_is_rejected():
-    """A seed inside the guard ring is unusable."""
+    """A seed inside the guard ring is unusable: a planar seed through
+    sigma cannot be classified, a classified planar seed is refused by its
+    signature's clearance, and the seed of a model whose windings are not
+    tracked is refused by its node distance."""
     model = shrinking_loop_model()
+    # z(pi/2) = (0.5, 0): exactly on sigma, well inside any guard
     seed = FourierTrajectory(TWO_PI, (), [[0.5, 0.0], [0.0, 0.25]])
-    # passes through (0.5, 0) at t = pi/2... actually z(pi/2) = (0.5, 0):
-    # exactly on sigma, well inside any guard
-    with pytest.raises(OptimizeError):
+    with pytest.raises(OptimizeError, match="cannot be classified"):
         minimize(model, seed, SolveOptions(N=2))
+    # z(pi/2) = (0.5005, 0): classified, but 5e-4 from sigma
+    seed = FourierTrajectory(TWO_PI, (), [[0.5005, 0.0], [0.0, 0.3]])
+    with pytest.raises(OptimizeError,
+                       match="seed clears sigma by 5.000e-04, below "
+                             "guard_delta = 0.001"):
+        minimize(model, seed, SolveOptions(N=2))
+    # one coordinate, sigma = {0.5, -0.5}: no windings; the node at
+    # t = pi/2 is 5e-4 from sigma
+    line = ModelSpec(m=1, n=0, omega=TWO_PI, nu=(), metric=[[ex.const(1.0)]],
+                     gyro=[ex.const(0.0)], potential=ex.parse("0.5*z1^2", 1),
+                     constants=GrowthConstants(0, 0, 0.5, 0.5, 0, 0),
+                     sigma_base=((0.5,),))
+    with pytest.raises(OptimizeError,
+                       match="seed violates the singularity guard"):
+        minimize(line, FourierTrajectory(TWO_PI, (), [[0.5005]]),
+                 SolveOptions(N=1))
+    assert minimize(line, FourierTrajectory(TWO_PI, (), [[0.3]]),
+                    SolveOptions(N=1)).status == "Converged"
 
 
 def test_penalty_free_model_runs_single_phase():
@@ -473,6 +500,24 @@ def test_line_search_rejects_candidates_outside_the_domain(monkeypatch):
                       "'log(4 - z1^2)'"] * 3
     assert _rejections(res.history)["domain"] == 3
     assert np.max(np.abs(sample(res.trajectory, 64).z)) < 2.0
+
+
+def test_line_search_domain_error_everywhere_is_optimize_error():
+    """A search whose every candidate leaves the potential's domain raises
+    OptimizeError.  At the seed z1 = sin t, (1 - z1)^1.5 is defined and
+    0 at t = pi/2, and the pull 5 z1 sin t moves that node past z1 = 1
+    for every step length the search tries."""
+    model = ModelSpec(
+        m=1, n=0, omega=TWO_PI, nu=(), metric=[[ex.const(1.0)]],
+        gyro=[ex.const(0.0)],
+        potential=ex.parse("5*z1*sin(t) - 0.5*z1^2 - 0.001*(1 - z1)^1.5", 1),
+        constants=GrowthConstants(0, 0, 0, 0.5, 0, 0))
+    seed = FourierTrajectory(TWO_PI, (), [[1.0], [0.0], [0.0], [0.0]])
+    with pytest.raises(OptimizeError,
+                       match="expression domain error persisted through "
+                             "the line search at iteration 0: negative base "
+                             "under fractional power"):
+        minimize(model, seed, SolveOptions(N=4, M=32))
 
 
 def test_winding_certificate_is_sound(rng):
@@ -619,14 +664,18 @@ def test_lbfgs_dense_seed_matches_two_loop(rng):
 
 def test_objective_builds_one_sine_grid(monkeypatch):
     """The quadrature grid is the objective's only sine table; winding
-    checks sample by inverse FFT."""
+    checks sample by inverse FFT.  A curve through sigma has no windings
+    (None)."""
     model, opts = builtin("two_centers"), SolveOptions(N=48)
     seed = seed_curve(1, singular_set(model), model.omega, opts.N)
     grids = count_calls(monkeypatch, SineGrid, "__init__")
     obj = _Objective(model, seed, opts.M)
     assert len(grids) == 1
     assert obj.windings(seed.coeffs.reshape(-1)) == winding_signature(
-        seed, singular_set(model), M=16 * opts.N).windings
+        seed, singular_set(model)).windings
+    through = np.zeros(seed.coeffs.shape)
+    through[0] = model.sigma_base[0]  # z(omega/4) = r0
+    assert obj.windings(through.reshape(-1)) is None
     assert len(grids) == 1
 
 

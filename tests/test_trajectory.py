@@ -536,9 +536,9 @@ def test_windings_one_pass_matches_per_center(rng):
 def test_distance_profile_and_signature_memoized_per_trajectory(
         monkeypatch):
     """min_distance_to and winding_signature share one distance profile
-    per (singular set, grid size), a signature is kept per (singular set,
-    M), and memoized results equal those of a fresh trajectory with equal
-    coefficients."""
+    per singular set, on max(16N, 1024) nodes, a signature is kept per
+    singular set, and memoized results equal those of a fresh trajectory
+    with equal coefficients."""
     s = singular_set(builtin("two_centers"))
     coeffs = seed_curve(2, s, TWO_PI, 24).coeffs
     traj = FourierTrajectory(TWO_PI, (), coeffs)
@@ -554,20 +554,21 @@ def test_distance_profile_and_signature_memoized_per_trajectory(
     assert min_distance_to(traj, s) == d
     assert winding_signature(traj, s) is sig
     assert len(builds) == 2
-    # another grid size or singular set is another entry
+    # another singular set is another entry
     other = SingularSet(base=((0.5, 0.5),), m=2, n=0)
-    min_distance_to(traj, s, M=2048)
-    fine = winding_signature(traj, s, M=2048)  # reuses the 2048 profile
     min_distance_to(traj, other)
     sig_other = winding_signature(traj, other)
-    assert built()[2:] == [("profile", 2048), ("signature", 2048),
-                           ("profile", 1024), ("signature", 384)]
-    assert fine is not sig
+    assert built()[2:] == [("profile", 1024), ("signature", 384)]
     assert min_distance_to(fresh, s) == d
     assert winding_signature(fresh, s) == sig
-    assert winding_signature(fresh, s, M=2048) == fine
     assert min_distance_to(fresh, other) == min_distance_to(traj, other)
     assert winding_signature(fresh, other) == sig_other
+    # above N = 64 the profile is the winding grid: 16 N = 1536 nodes
+    wide = FourierTrajectory(TWO_PI, (), seed_curve(2, s, TWO_PI, 96).coeffs)
+    del builds[:]
+    min_distance_to(wide, s)
+    winding_signature(wide, s)
+    assert built() == [("profile", 1536), ("signature", 1536)]
 
 
 def test_trajectory_coefficients_are_read_only():

@@ -112,12 +112,19 @@ def test_hypotheses_potential_bound_falsified():
 
 
 def test_hypotheses_gyro_bound_falsified():
-    """A gyroscopic term growing like z1^2 escapes the declared C + M|z| cap."""
-    model = flat_model(gyro=[ex.parse("z1^2", 2), ex.parse("0", 2)])
-    rep = check_hypotheses(model)
-    assert rep.violated == ["condition 3 (growth bounds): falsified for a"]
-    wit = rep.witnesses["bound_a"]
-    assert abs(wit["value"]) > wit["cap"], f"witness not violating: {wit}"
+    """A gyroscopic term growing like z1^2 escapes the declared C + M|z|
+    cap; the witness names its component as an integer, in report.json
+    too."""
+    for d in (0, 1):
+        gyro = [ex.parse("0", 2), ex.parse("0", 2)]
+        gyro[d] = ex.parse("z1^2", 2)
+        rep = check_hypotheses(flat_model(gyro=gyro))
+        assert rep.violated == [
+            "condition 3 (growth bounds): falsified for a"]
+        wit = rep.witnesses["bound_a"]
+        assert abs(wit["value"]) > wit["cap"], f"witness not violating: {wit}"
+        assert type(wit["component"]) is int and wit["component"] == d
+        assert f'"component": {d},' in json.dumps(rep.to_dict())
 
 
 def test_hypotheses_metric_bound_falsified():
@@ -679,22 +686,23 @@ def test_holder_sine_value():
     assert got <= h1_seminorm(traj) + 1e-12  # h1 = sqrt(pi)
 
 
-@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("N", [16, 64, 96])
 def test_certificate_builds_one_distance_profile(monkeypatch, N):
-    """For N <= 64 the action report, the winding signature and the
-    residual report of one trajectory share one distance profile."""
+    """The action report, the winding signature and the residual report
+    of one trajectory share one distance profile, also above N = 64,
+    where the winding grid is finer than 1024 nodes."""
     model = builtin("two_centers")
     s = singular_set(model)
     coeffs = seed_curve(1, s, model.omega, N).coeffs
     traj = FourierTrajectory(model.omega, (), coeffs)
     builds = count_builds(monkeypatch)
     report = action_report(model, traj, 8 * N)
-    sig = winding_signature(traj, s, M=max(16 * N, 64))
+    sig = winding_signature(traj, s)
     rep = el_residual(model, traj, 8 * N)
     assert [t for kind, t, _ in builds if kind == "profile"] == [traj]
     fresh = FourierTrajectory(model.omega, (), coeffs)
     assert report == action_report(model, fresh, 8 * N)
-    assert sig == winding_signature(fresh, s, M=max(16 * N, 64))
+    assert sig == winding_signature(fresh, s)
     assert rep.to_dict() == el_residual(model, fresh, 8 * N).to_dict()
 
 

@@ -4,7 +4,8 @@ Finds odd, periodic trajectories with prescribed winding data by direct
 minimization of the action over a sine-series trajectory space, and
 certifies both the model hypotheses and the computed orbits.
 
-Modules: expr (symbolic expressions), model (system descriptions),
+Modules: expr (symbolic expressions), kernel (generated evaluation of
+compiled expressions), model (system descriptions),
 trajectory (the odd Fourier space and winding tools), action (the
 discrete functional and coercivity bounds), optimize (the minimizer),
 verify (hypothesis and residual checks), cli (the command line).

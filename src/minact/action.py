@@ -36,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as ex
+from .kernel import Kernel
 from .model import GrowthConstants, ModelSpec, nearest_distances, \
     singular_set
 from .trajectory import FourierTrajectory, SampledPath, SineGrid, \
@@ -112,6 +113,9 @@ _KINDS = {
     "penalized": ("G", "a", "V", "dz", "L", "dL", "f", "df"),
 }
 _PROGRAM = ("L", "dL")
+# the kinds minimize runs on every candidate: each runs as a kernel
+# generated on first use (minact.kernel), the others on the tape
+_KERNEL_KINDS = ("objective", "penalized")
 
 
 class LagrangianTerms:
@@ -122,7 +126,9 @@ class LagrangianTerms:
     are compiled into one expression tape (minact.expr.compile), so a
     field evaluation computes each distinct subtree once per node array.
     The Lagrangian program, which adds L and its partial derivatives as
-    roots, is compiled into a second tape on first use.
+    roots, is compiled into a second tape on first use, and each kind of
+    _KERNEL_KINDS into a generated kernel on its first evaluation; copies
+    of the model that share these terms share the kernels.
     """
 
     @classmethod
@@ -163,6 +169,7 @@ class LagrangianTerms:
             ("da", [e for r in self.da for e in r]))
             if all(e == ex.ZERO for e in trees)}
         self._kinds = self._compile(False)
+        self._kernels: dict = {}  # kind -> Kernel
 
     @functools.cached_property
     def program(self):
@@ -266,7 +273,8 @@ class LagrangianTerms:
 
     def fields(self, t, z, kind: str) -> Fields:
         """Evaluate one kind of fields (a key of _KINDS) at node arrays in
-        one tape run; z is [z | dz] for the kinds of the program."""
+        one tape run, or one kernel run for _KERNEL_KINDS; z is [z | dz]
+        for the kinds of the program."""
         tape, targets, groups = (self._kinds.get(kind)
                                  or self._program_kinds[kind])
         M = len(t)
@@ -278,12 +286,25 @@ class LagrangianTerms:
                   "L": (M,), "dL": (2, M, dim)}
         out = {g: (np.zeros if g in self.zero else np.empty)(shapes[g])
                for g in groups}
+        if kind in _KERNEL_KINDS:
+            self._kernel(kind)(t, z, [out[g] for g in groups])
+            return Fields(**out)
         # a root free of t and z comes back a scalar and is broadcast by
         # the assignment, with the values tape.run would have filled in
         for (group, places), v in zip(targets, tape._values(t, z)):
             for p in places:
                 out[group][p] = v
         return Fields(**out)
+
+    def _kernel(self, kind: str):
+        """The generated kernel of a program kind, which stores what
+        fields stores from the tape: bit for bit the same arrays."""
+        if kind not in self._kernels:
+            tape, targets, groups = self._program_kinds[kind]
+            self._kernels[kind] = Kernel(
+                tape, [[(groups.index(g), p) for p in places]
+                       for g, places in targets])
+        return self._kernels[kind]
 
     def lagrangian_at(self, path: SampledPath, kind: str = "objective"
                       ) -> Fields:

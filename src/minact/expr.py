@@ -18,6 +18,8 @@ carrying the offending subtree.
 
 compile hash-conses many trees into one Tape that computes every distinct
 subtree once per node array; evaluate is the Tape of a single tree.
+minact.kernel turns a tape into one generated straight-line NumPy
+function for callers that run the same tape many times.
 """
 
 from __future__ import annotations

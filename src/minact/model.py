@@ -38,6 +38,7 @@ __all__ = [
     "GrowthConstants", "Constraint", "ModelSpec", "SingularSet",
     "ModelError", "builtin", "BUILTIN_NAMES",
     "singular_set", "nearest_singular", "nearest_distances",
+    "least_distance",
     "enumerate_planar", "model_to_dict", "model_from_dict", "load_model",
     "save_model", "is_autonomous", "with_omega", "with_nu",
 ]
@@ -251,12 +252,15 @@ def enumerate_planar(s: SingularSet):
     return out
 
 
-def _nearest(s: SingularSet, points: np.ndarray, witness: bool):
+def _nearest(s: SingularSet, points: np.ndarray, want: str):
     """Distances from points (M, dim) to the full singular set.
 
-    Returns (distances, witnesses); witnesses (M, dim) holds the attaining
-    singular point of each row (the first in enumerate_planar order on a
-    tie), including its 2*pi lattice shift, and is None unless asked for.
+    want "distances" gives the distances (M,); "witnesses" gives them and
+    the attaining singular point of each row (the first in
+    enumerate_planar order on a tie), including its 2*pi lattice shift;
+    "least" gives the least distance, inf for an empty set, as one
+    square root of the least squared distance: sqrt is monotone and
+    correctly rounded, so it is float(np.min(distances)) bit for bit.
     The lattice minimization is exact: the squared distance separates per
     angle coordinate, so the optimal shift is round((phi - phi_s)/(2*pi))
     coordinatewise.  Squares are summed coordinate by coordinate, which is
@@ -272,10 +276,12 @@ def _nearest(s: SingularSet, points: np.ndarray, witness: bool):
             diff -= shift
             shifts.append(shift)
         sq += diff * diff
+    if want == "least":
+        return math.sqrt(np.min(sq, initial=np.inf))
     d = np.sqrt(sq)
     best = np.min(d, axis=0, initial=np.inf)  # inf for an empty set
-    if not witness:
-        return best, None
+    if want == "distances":
+        return best
     k = np.argmin(d, axis=0)
     near = cands[k]
     for j, shift in enumerate(shifts, start=s.m):
@@ -294,13 +300,21 @@ def nearest_singular(s: SingularSet, point):
         raise ValueError("query point must be finite")
     if s.is_empty():
         return math.inf, None
-    d, near = _nearest(s, point[None, :], witness=True)
+    d, near = _nearest(s, point[None, :], "witnesses")
     return float(d[0]), near[0]
 
 
 def nearest_distances(s: SingularSet, points: np.ndarray) -> np.ndarray:
     """Vectorized nearest-singular distances for points of shape (M, dim)."""
-    return _nearest(s, np.asarray(points, dtype=float), witness=False)[0]
+    return _nearest(s, np.asarray(points, dtype=float), "distances")
+
+
+def least_distance(s: SingularSet, points: np.ndarray) -> float:
+    """float(np.min(nearest_distances(s, points))), bit for bit, from one
+    square root; inf for an empty set."""
+    if s.is_empty():
+        return math.inf
+    return _nearest(s, np.asarray(points, dtype=float), "least")
 
 
 def is_autonomous(model: ModelSpec) -> bool:

@@ -37,7 +37,7 @@ import numpy as np
 from . import expr as ex
 from .action import ActionReport, LagrangianTerms, apriori_radius, \
     coercivity_margin
-from .model import ModelSpec, enumerate_planar, nearest_distances, \
+from .model import ModelSpec, enumerate_planar, least_distance, \
     singular_set
 from .trajectory import FourierTrajectory, HomotopySignature, SineGrid, \
     WindingRefinementError, refine_windings, winding_signature
@@ -61,6 +61,8 @@ FEAS_TOL = 1e-12
 DIVERGE_FACTOR = 10.0
 LBFGS_PAIRS = 64
 CERT_SLACK = 1e-9
+# the Armijo test's rounding allowance per unit of 1 + |S|
+ROUNDING = 4.0 * np.finfo(float).eps
 # why the line search rejects a candidate, as counted in each history row
 REJECT_REASONS = ("armijo", "guard", "signature", "domain")
 
@@ -146,11 +148,9 @@ class _Objective:
 
     def nodes(self, b_flat: np.ndarray):
         """Node positions (M, dim), shared by the guard and the objective,
-        and their least distance to sigma."""
+        and their least distance to sigma (inf for an empty sigma)."""
         z = self.grid.z(b_flat.reshape(self.shape))
-        if self.sigma.is_empty():
-            return z, np.inf
-        return z, float(np.min(nearest_distances(self.sigma, z)))
+        return z, least_distance(self.sigma, z)
 
     def clearance(self, b_flat: np.ndarray, node_distance: float) -> float:
         """Lower bound r_b on the distance from the curve b to sigma: every
@@ -340,7 +340,9 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
         if model.constraints else (None, 0.0)
     S, g, F = evaluate(b, z)  # the seed's S_mu sets the a priori radius
     h1 = seed_h1 = obj.h1(b)
-    clear = obj.clearance(b, dist)
+    # the clearance bound certifies windings, so only a tracked signature
+    # needs it
+    clear = obj.clearance(b, dist) if track_signature else None
     diverge_h1 = DIVERGE_FACTOR * (
         apriori_radius(model.constants, model.omega, S)
         if coercivity_margin(model.constants, model.omega) > 0.0
@@ -416,15 +418,17 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             direction = direction * scale
             dgd *= scale
         # a step of alpha moves no point of the curve beyond alpha*reach
-        reach = float(np.sum(_row_norms(direction.reshape(obj.shape))))
+        reach = float(np.sum(_row_norms(direction.reshape(obj.shape)))) \
+            if track_signature else None
         # Armijo with a rounding allowance: near the minimum the demanded
         # decrease falls below the resolution of S itself
-        noise = 4.0 * np.finfo(float).eps * (1.0 + abs(S))
+        noise = ROUNDING * (1.0 + abs(S))
 
         def candidate(alpha):
             """A reason from REJECT_REASONS and its domain error, if any; or
             None and the candidate's b, z, S_mu, g, f and node distance."""
-            cand = b + alpha * direction
+            # 1.0 * direction is direction, bit for bit
+            cand = b + direction if alpha == 1.0 else b + alpha * direction
             z_cand, d = obj.nodes(cand)
             if d <= opts.guard_delta:
                 return "guard", None
@@ -466,7 +470,8 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
         memory.push(cand - b, g_cand - g)
         b, S, g = cand, S_cand, g_cand
         h1 = obj.h1(b)
-        clear = obj.clearance(b, dist)
+        if track_signature:
+            clear = obj.clearance(b, dist)
         retried = updated = False
         total_iter += 1
         if h1 > diverge_h1:

@@ -62,7 +62,9 @@ class FourierTrajectory:
 
     The coefficients are read-only, so results that depend only on the
     trajectory and a singular set (its distance profile and winding
-    signature) are computed once per trajectory and kept with it.
+    signature) are computed once per trajectory and kept with it, as is
+    its quadrature grid per node count (SineGrid.uniform), which
+    with_coeffs passes on to a copy of the same shape.
     """
 
     omega: float
@@ -117,7 +119,14 @@ class FourierTrajectory:
         return TWO_PI * np.arange(1, self.N + 1) / self.omega
 
     def with_coeffs(self, coeffs) -> "FourierTrajectory":
-        return FourierTrajectory(self.omega, self.nu, coeffs)
+        """The trajectory with other coefficients; it keeps this one's
+        quadrature grids when the shape is the same, as the grids depend
+        only on omega, nu and the shape."""
+        copy = FourierTrajectory(self.omega, self.nu, coeffs)
+        if copy.coeffs.shape == self.coeffs.shape:
+            copy._memo.update((key, grid) for key, grid in self._memo.items()
+                              if key[0] == "grid")
+        return copy
 
 
 @dataclass(frozen=True)
@@ -159,7 +168,8 @@ class SineGrid:
         z = drift*t + S @ B,    dz = drift + Cw @ B,
 
     and the coefficient gradient of a node sum of L(t, z, dz) is
-    S^T dL/dz + Cw^T dL/ddz.
+    S^T dL/dz + Cw^T dL/ddz.  The arrays are read-only, as a uniform grid
+    is shared by every trajectory that keeps it.
     """
 
     def __init__(self, traj: FourierTrajectory, t: np.ndarray):
@@ -170,17 +180,21 @@ class SineGrid:
         phases = np.outer(t, self.w)
         self.S = np.sin(phases)
         self.Cw = np.cos(phases) * self.w
+        for a in (t, self.w, self.drift, self.z_drift, self.S, self.Cw):
+            a.setflags(write=False)
 
     @classmethod
     def uniform(cls, traj: FourierTrajectory, M: int) -> "SineGrid":
         """The quadrature grid on the M uniform nodes i*omega/M of one
         period; requires M >= 2N + 1 so that no represented mode aliases.
+        Built once per M for traj and the copies it passes its grids to.
         """
         M = int(M)
         if M < 2 * traj.N + 1:
             raise TrajectoryError(
                 f"M = {M} too small for N = {traj.N} modes (need M >= 2N+1)")
-        return cls(traj, traj.omega * np.arange(M) / M)
+        return traj._memoized(
+            ("grid", M), lambda: cls(traj, traj.omega * np.arange(M) / M))
 
     def z(self, B: np.ndarray) -> np.ndarray:
         return self.z_drift + self.S @ B
@@ -302,7 +316,7 @@ def _compute_profile(traj: FourierTrajectory, s: SingularSet, M: int):
     local = np.nonzero((d <= np.roll(d, 1)) & (d <= np.roll(d, -1)))[0]
     t = traj.omega * local / M
     lo, hi = t - h, t + h
-    _, witness = _nearest(s, pts[local], witness=True)
+    _, witness = _nearest(s, pts[local], "witnesses")
     w, drift, dim = traj.frequencies(), traj.drift(), traj.dim
     wb = w[:, None] * traj.coeffs
     # sin(w t) @ sine_basis = (z - drift t, ddz), cos(w t) @ wb = dz - drift

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from minact.action import (
     action_lower_bound, action_report, apriori_radius, coercivity_margin,
 )
 from minact.model import BUILTIN_NAMES, GrowthConstants, ModelSpec, builtin
-from minact.trajectory import FourierTrajectory, SampledPath, h1_seminorm
+from minact.trajectory import FourierTrajectory, SampledPath, SineGrid, \
+    h1_seminorm
 from conftest import (coercive_oscillator_model, constrained_planar_model,
                       free_drift_model,
                       harmonic_model, random_trajectory, reference_evaluate)
@@ -474,3 +476,44 @@ def test_metric_derivatives_differentiate_the_upper_triangle(monkeypatch):
             assert terms.dtg[i][j] is terms.dtg[j][i]
             assert all(terms.dg[d][i][j] is terms.dg[d][j][i]
                        for d in range(dim))
+
+
+def _fields_outcome(run):
+    """Bits, shape and C order of every evaluated field, or the error."""
+    try:
+        fields = run()
+    except ex.EvalDomainError as err:
+        return "error", str(err), err.node
+    return "value", {name: (v.shape, v.flags.c_contiguous, v.tobytes())
+                     for name, v in fields._asdict().items()
+                     if v is not None}
+
+
+def test_program_kernels_store_the_tape_values(monkeypatch, rng):
+    """On every builtin and the constrained oscillator, the generated
+    kernels of the objective and penalized kinds store what the tape run
+    stores, bit for bit and in the same layout, at several node counts;
+    a later run leaves the arrays of an earlier one alone."""
+    action_module = sys.modules["minact.action"]
+    models = [builtin(name) for name in BUILTIN_NAMES]
+    models.append(constrained_planar_model())
+    for model in models:
+        terms = LagrangianTerms(model)
+        kinds = ["objective"] + (["penalized"] if model.constraints else [])
+        for M, scale in ((33, 0.3), (384, 0.3), (384, 1.0)):
+            traj = random_trajectory(rng, model.dim, N=8, nu=model.nu,
+                                     omega=model.omega, scale=scale)
+            path = SineGrid.uniform(traj, M).path(traj.coeffs)
+            zv = np.concatenate((path.z, path.dz), axis=1)
+            for kind in kinds:
+                got = terms.fields(path.t, zv, kind)
+                kept = _fields_outcome(lambda: got)
+                with monkeypatch.context() as patch:
+                    patch.setattr(action_module, "_KERNEL_KINDS", ())
+                    want = _fields_outcome(
+                        lambda: terms.fields(path.t, zv, kind))
+                assert kept == want, (model, kind, M)
+                assert _fields_outcome(lambda: terms.fields(
+                    path.t, 2.0 * zv, kind))[0] == "value"
+                assert _fields_outcome(lambda: got) == kept
+        assert set(terms._kernels) == set(kinds)

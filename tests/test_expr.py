@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from minact import expr as ex
+from minact.kernel import Kernel
 from conftest import reference_evaluate
 
 
@@ -436,3 +437,141 @@ def test_non_finite_number_literal_is_a_parse_error():
     assert ex.evaluate(e, 0.0, [0.5]) == 0.0
     with pytest.raises(ex.EvalDomainError, match="fractional power"):
         ex.evaluate(e, 0.0, [-0.5])
+
+
+# ---------------------------------------------------------------------------
+# generated kernels
+
+
+def _wild_expr(rng, depth):
+    """Random tree over t, z1, z2 built from the node classes, so nothing
+    folds: every op, constant-only subtrees, signed zeros, and exponents
+    with and without a ufunc of their own (2, -1, 0.5) and 1 and 0."""
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.35:
+            return ex.Const(float(rng.choice(
+                [-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, rng.uniform(-3, 3)])))
+        if r < 0.5:
+            return ex.Var(0)
+        return ex.Var(int(rng.integers(1, 3)))
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        op = str(rng.choice(["neg", "sin", "cos", "exp", "log", "sqrt"]))
+        return ex.Unary(op, _wild_expr(rng, depth - 1))
+    if kind == 1:
+        return ex.Binary(str(rng.choice(["+", "-", "*", "/"])),
+                         _wild_expr(rng, depth - 1),
+                         _wild_expr(rng, depth - 1))
+    return ex.Power(_wild_expr(rng, depth - 1), float(rng.choice(
+        [2.0, -1.0, 0.5, 1.0, 0.0, 1.5, -0.5, 3.0, -2.0])))
+
+
+def _stored(run):
+    """("value", bits of each stored array) or ("error", message, node)
+    of one storing run."""
+    try:
+        outs = run()
+    except ex.EvalDomainError as err:
+        return "error", str(err), err.node
+    return "value", [(o.shape, o.tobytes()) for o in outs]
+
+
+def _tape_store(tape, targets, shapes, t, z):
+    """What LagrangianTerms.fields stores from Tape._values: the
+    reference a kernel must equal."""
+    outs = [np.empty(s) for s in shapes]
+    for where, v in zip(targets, tape._values(t, z)):
+        for out, index in where:
+            outs[out][index] = v
+    return outs
+
+
+def _kernel_store(kernel, shapes, t, z):
+    outs = [np.empty(s) for s in shapes]
+    kernel(t, z, outs)
+    return outs
+
+
+def test_kernel_matches_tape_on_random_trees():
+    """200 random trees, each a tape of its own, and one tape of 40 trees
+    and their derivatives stored at strided places and at two places
+    for a repeated root: the kernel stores what Tape._values gives, bit
+    for bit, or raises the same message naming the same subtree; calls
+    after the first reuse the workspace without changing earlier
+    results."""
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    n = slice(None)
+    for _ in range(200):
+        e = _wild_expr(rng, 4)
+        tape = ex.compile([e])
+        kernel = Kernel(tape, [[(0, (n,))]])
+        for M in (1, 7, 64):
+            t = rng.normal(size=M)
+            for z in (rng.normal(size=(M, 2)),
+                      np.abs(rng.normal(size=(M, 2))) + 0.1):
+                want = _stored(lambda: _tape_store(
+                    tape, [[(0, (n,))]], [(M,)], t, z))
+                got = _stored(lambda: _kernel_store(kernel, [(M,)], t, z))
+                assert got == want, ex.to_text(e)
+                outcomes.add(want[0])
+    assert outcomes == {"value", "error"}
+    roots = [_random_expr(rng, 4) for _ in range(40)]
+    roots += [ex.differentiate(e, 1) for e in roots] + roots[:1]
+    tape = ex.compile(roots)
+    targets = [[(0, (n, k))] for k in range(len(roots) - 1)]
+    targets.append([(1, (n,)), (0, (n, 0))])  # the first root again
+    kernel = Kernel(tape, targets)
+    for M in (5, 48):
+        shapes = [(M, len(roots) - 1), (M,)]
+        t, z = rng.normal(size=M), rng.normal(size=(M, 2))
+        first = _kernel_store(kernel, shapes, t, z)
+        kept = [o.copy() for o in first]
+        assert _stored(lambda: first) == _stored(
+            lambda: _tape_store(tape, targets, shapes, t, z))
+        t2, z2 = rng.normal(size=M), rng.normal(size=(M, 2))
+        assert _stored(lambda: _kernel_store(kernel, shapes, t2, z2)) == \
+            _stored(lambda: _tape_store(tape, targets, shapes, t2, z2))
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+
+def test_kernel_domain_errors_match_the_tape():
+    """Each domain error is raised by the kernel with the message and
+    subtree the tape names, also where a later 1/x turns the overflowed
+    exp back into a finite value."""
+    inf = math.inf
+    cases = (
+        ("z2 + log(z1)", [[1.0, 1.0], [0.0, 2.0]], "log(z1)"),
+        ("z2/(z1 - 1)", [[2.0, 1.0], [1.0, 2.0]], "z2/(z1 - 1)"),
+        ("z2*(z1 - 2)^1.5", [[3.0, 1.0], [1.0, 2.0]], "(z1 - 2)^1.5"),
+        ("z2 + (z1 - 1)^(-2)", [[3.0, 1.0], [1.0, 2.0]], "(z1 - 1)^(-2)"),
+        ("1 + (2*z1)^400", [[0.5, 0.0], [30.0, 0.0]], "(2*z1)^400"),
+        ("z2 + exp(z1^2)", [[1.0, 0.0], [30.0, 0.0]], "exp(z1^2)"),
+        ("1/exp(z1)", [[1.0, 0.0], [1000.0, 0.0]], "exp(z1)"),
+        ("z2 + z1^(-0.5)", [[1.0, 0.0], [-inf, 0.0]], "z1^(-0.5)"),
+    )
+    n = slice(None)
+    for text, z, subtree in cases:
+        e = ex.parse(text, 2)
+        tape = ex.compile([ex.parse("z2*z1", 2), e])
+        targets = [[(0, (n, 0))], [(0, (n, 1))]]
+        t, z = np.zeros(2), np.array(z)
+        want = _stored(lambda: _tape_store(tape, targets, [(2, 2)], t, z))
+        got = _stored(lambda: _kernel_store(Kernel(tape, targets), [(2, 2)],
+                                            t, z))
+        assert want[0] == "error" and want[2] == ex.parse(subtree, 2), text
+        assert got == want, text
+
+
+def test_kernel_source_binds_constants_by_name():
+    """The generated source names the model's numbers; it never prints
+    them."""
+    e = ex.parse("1.2345*z1^2.75 + exp(0.6789*z2)", 2)
+    kernel = Kernel(ex.compile([e]), [[(0, (slice(None),))]])
+    for number in ("1.2345", "2.75", "0.6789"):
+        assert number not in kernel.source
+    z = np.array([[0.5, 0.25], [1.5, -2.0]])
+    out = np.empty(2)
+    kernel(np.zeros(2), z, [out])
+    assert out.tobytes() == ex.evaluate(e, np.zeros(2), z).tobytes()

@@ -10,7 +10,7 @@ import pytest
 from minact import expr as ex
 from minact.action import LagrangianTerms, action, action_report
 from minact.model import Constraint, GrowthConstants, ModelSpec, builtin, \
-    singular_set
+    nearest_distances, singular_set
 from minact.optimize import (AL_MU, LBFGS_PAIRS, REJECT_REASONS,
                              OptimizeError, SolveOptions, _LbfgsMemory,
                              _Objective, minimize, solve_in_class)
@@ -686,19 +686,23 @@ def _report_bits(report):
 def test_unconstrained_report_comes_from_the_loop(monkeypatch):
     """Without penalty phases the final ActionReport takes S and the
     gradient norm from the loop, bit for bit what action_report computes.
-    nearest_distances then runs only for the node guards of the seed and
-    the candidates and for the distance profiles (one grid and one set of
-    Newton-refined times each): no quadrature pass at the end."""
+    The node guards of the seed and the candidates take one least_distance
+    each, and nearest_distances runs only for the distance profiles (one
+    grid and one set of Newton-refined times each): no quadrature pass at
+    the end."""
     model, opts = builtin("two_centers"), SolveOptions(N=24)
     counted = [count_calls(monkeypatch, sys.modules[f"minact.{name}"],
                            "nearest_distances")
-               for name in ("action", "optimize", "trajectory")]
+               for name in ("action", "trajectory")]
+    least = count_calls(monkeypatch, sys.modules["minact.optimize"],
+                        "least_distance")
     nodes = count_calls(monkeypatch, _Objective, "nodes")
     builds = count_builds(monkeypatch)
     res = solve_in_class(model, 1, opts)
     profiles = [M for kind, _, M in builds if kind == "profile"]
     assert res.status == "Converged" and len(profiles) == 2
-    assert sum(map(len, counted)) == len(nodes) + 2 * len(profiles)
+    assert len(least) == len(nodes)
+    assert sum(map(len, counted)) == 2 * len(profiles)
     assert _report_bits(res.report) == _report_bits(
         action_report(model, res.trajectory, opts.M))
     for model, seed, opts in (
@@ -712,3 +716,38 @@ def test_unconstrained_report_comes_from_the_loop(monkeypatch):
                      for r in (res.report, action_report(
                          model, res.trajectory, opts.M)))
         assert _report_bits(got) == _report_bits(want)
+
+
+def test_guard_distance_is_the_least_node_distance(rng):
+    """_Objective.nodes takes one square root of the least squared
+    distance: bit for bit the least of nearest_distances, on two_centers,
+    surface_slide and a singular set with an angle coordinate, where the
+    lattice shifts apply; inf for an empty sigma."""
+    lattice = ModelSpec(
+        m=1, n=1, omega=TWO_PI, nu=(1,), metric=EYE2, gyro=ZERO2,
+        potential=ex.const(0.0), sigma_base=((0.5, 1.0), (-0.2, 3.0)))
+    models = [builtin("two_centers"), builtin("surface_slide"), lattice]
+    for model in models:
+        proto = random_trajectory(rng, model.dim, N=8, nu=model.nu)
+        obj = _Objective(model, proto, 64)
+        for scale in (0.1, 1.0, 3.0):
+            b = scale * rng.normal(size=proto.coeffs.size)
+            z, d = obj.nodes(b)
+            want = float(np.min(nearest_distances(obj.sigma, z)))
+            assert d.hex() == want.hex(), (model, scale)
+    tube = builtin("tube_ball")
+    obj = _Objective(tube, random_trajectory(rng, 3, N=8, nu=tube.nu), 64)
+    assert obj.nodes(np.zeros(24))[1] == math.inf
+
+
+def test_constrained_oscillator_history_rows(monkeypatch):
+    """The history has one row per iterate the loop visits, so its length
+    is not the number of accepted steps: a multiplier update and a
+    steepest-descent retry repeat the row's iter.  The accepted steps are
+    history[-1]["iter"], one L-BFGS pair offered per step."""
+    pushes = count_calls(monkeypatch, _LbfgsMemory, "push")
+    res = solve_in_class(constrained_planar_model(), None, SolveOptions(N=24))
+    assert res.status == "Converged"
+    assert [row["iter"] for row in res.history] == \
+        [0, 1, 2, 3, 4, 5, 5, 6, 7, 7, 8, 8, 9]
+    assert res.history[-1]["iter"] == len(pushes) == 9

@@ -27,12 +27,11 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Expr", "Const", "Var", "Unary", "Binary", "Power",
+    "Record", "Expr", "Const", "Var", "Unary", "Binary", "Power",
     "ExprError", "ParseError", "EvalDomainError",
     "Tape", "parse", "evaluate", "compile", "differentiate", "to_text",
     "const", "var", "t_var", "add", "sub", "mul", "div", "neg", "power",
@@ -61,42 +60,128 @@ class EvalDomainError(ExprError):
         self.node = node
 
 
-class Expr:
-    """Base node.  Concrete nodes are Const, Var, Unary, Binary, Power."""
+class Record:
+    """Immutable value with the semantics of a frozen dataclass, without
+    the code generation of @dataclass, which costs about half a
+    millisecond per class on every import.
+
+    A subclass names its fields in order in _fields and the defaults of
+    trailing ones in _defaults.  The generic __init__ takes the fields
+    positionally or by keyword, then calls __post_init__, which may check
+    and normalize them (with object.__setattr__).  Instances compare equal
+    and hash by their field tuple when their classes match, print as a
+    dataclass prints, refuse assignment and deletion, and pickle and copy
+    by calling the class on their field values.  A class built in inner
+    loops declares __slots__ and its own __init__.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} "
+                            f"arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected or "
+                                f"repeated argument {name!r}")
+            values[name] = value
+        for name in names:
+            if name in values:
+                value = values[name]
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing argument "
+                                f"{name!r}")
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _asdict(self) -> dict:
+        """{field: value}, the values themselves, not copies."""
+        return dict(zip(self._fields, self._values()))
+
+
+class Expr(Record):
+    """Base node.  Concrete nodes are Const, Var, Unary, Binary, Power:
+    slotted Records with their own constructors, as the smart
+    constructors and differentiate build them in bulk."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     # index 0 is the time variable t, index d >= 1 is the coordinate z^d
-    index: int
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # one of: neg sin cos exp log sqrt
-    arg: Expr
+    __slots__ = _fields = ("op", "arg")
+
+    def __init__(self, op: str, arg: Expr):
+        object.__setattr__(self, "op", op)  # one of: neg sin cos exp log sqrt
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # one of: + - * /
-    lhs: Expr
-    rhs: Expr
+    __slots__ = _fields = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr):
+        object.__setattr__(self, "op", op)  # one of: + - * /
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
 class Power(Expr):
     # exponent is a literal real constant, which keeps d/dz u^c = c*u^(c-1)*u'
     # closed-form for the singular-potential terms |z - s|^(-n)
-    base: Expr
-    exponent: float
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: float):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
 # ---------------------------------------------------------------------------

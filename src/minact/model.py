@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import expr as ex
-from .expr import Expr
+from .expr import Expr, Record
 
 __all__ = [
     "GrowthConstants", "Constraint", "ModelSpec", "SingularSet",
@@ -50,19 +50,13 @@ class ModelError(ValueError):
     """Invalid model data (shape, bounds, parity tag, parameters)."""
 
 
-@dataclass(frozen=True)
-class GrowthConstants:
+class GrowthConstants(Record):
     """Constants of the growth/ellipticity/barrier bounds; all >= 0, K > 0."""
 
-    C: float
-    M: float
-    A: float
-    K: float
-    P: float
-    C1: float
+    _fields = ("C", "M", "A", "K", "P", "C1")
 
     def __post_init__(self):
-        for name in ("C", "M", "A", "K", "P", "C1"):
+        for name in self._fields:
             v = float(getattr(self, name))
             if not math.isfinite(v) or v < 0.0:
                 raise ModelError(f"constant {name} must be finite and >= 0")
@@ -71,16 +65,14 @@ class GrowthConstants:
             raise ModelError("constant K must be strictly positive")
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """Holonomic constraint f(t,z) = 0 with declared parity.
 
     parity "odd" means f(-t,-z) = -f(t,z); "even" means f(-t,-z) = f(t,z).
     The declared parity is validated by minact.verify, not assumed here.
     """
 
-    f: Expr
-    parity: str
+    _fields = ("f", "parity")  # f: Expr, parity: str
 
     def __post_init__(self):
         if self.parity not in ("odd", "even"):
@@ -205,8 +197,7 @@ class ModelSpec:
         return self.m + self.n
 
 
-@dataclass(frozen=True)
-class SingularSet:
+class SingularSet(Record):
     """Base points of sigma plus the coordinate split (m linear, n angular).
 
     The full set is { s', -s' : s' in base } shifted by 2*pi*p, p integer,
@@ -214,9 +205,7 @@ class SingularSet:
     the read-only (K, dim) array candidates; shifts are generated on the fly.
     """
 
-    base: tuple
-    m: int
-    n: int
+    _fields = ("base", "m", "n")  # base: tuple, m, n: int
 
     def __post_init__(self):
         pts = tuple(tuple(float(v) for v in p) for p in self.base)

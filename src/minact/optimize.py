@@ -30,7 +30,6 @@ The run is fully deterministic: no randomness, fixed evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .action import ActionReport, LagrangianTerms, apriori_radius, \
     coercivity_margin
 from .model import ModelSpec, enumerate_planar, least_distance, \
     singular_set
-from .trajectory import FourierTrajectory, HomotopySignature, SineGrid, \
+from .trajectory import FourierTrajectory, SineGrid, \
     WindingRefinementError, refine_windings, winding_signature
 
 __all__ = ["SolveOptions", "SolveResult", "OptimizeError",
@@ -67,24 +66,21 @@ ROUNDING = 4.0 * np.finfo(float).eps
 REJECT_REASONS = ("armijo", "guard", "signature", "domain")
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class SolveOptions(ex.Record):
     """Knobs of one minimization run.
 
     M defaults to 8*N (enough nodes for spectral quadrature accuracy and
     the no-aliasing requirement M >= 2N+1).
     """
 
-    N: int = 32
-    M: int = 0
-    max_iters: int = 2000
-    grad_tol: float = 1e-8
-    guard_delta: float = 1e-3
+    _fields = ("N", "M", "max_iters", "grad_tol", "guard_delta")
+    _defaults = {"N": 32, "M": 0, "max_iters": 2000, "grad_tol": 1e-8,
+                 "guard_delta": 1e-3}
 
     def __post_init__(self):
         if self.M == 0:
             object.__setattr__(self, "M", 8 * self.N)
-        for name in ("N", "M", "max_iters", "grad_tol", "guard_delta"):
+        for name in self._fields:
             if getattr(self, name) <= 0:
                 raise OptimizeError(f"option {name} must be positive")
         if self.M < 2 * self.N + 1:
@@ -92,14 +88,16 @@ class SolveOptions:
                 f"M = {self.M} must be at least 2N+1 = {2 * self.N + 1}")
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    trajectory: FourierTrajectory
-    status: str  # Converged | Diverged | GuardTriggered | SignatureChanged | MaxIter
-    report: object  # ActionReport
-    history: list
-    signature: HomotopySignature | None = None
-    multipliers: np.ndarray | None = None  # (M, l) at the nodes, or None
+class SolveResult(ex.Record):
+    """The returned iterate (trajectory) and its status (Converged |
+    Diverged | GuardTriggered | SignatureChanged | MaxIter), ActionReport
+    (report) and history rows; its HomotopySignature (signature) where
+    the solve tracks one, and the (M, l) multipliers at the nodes of a
+    constrained solve (or None)."""
+
+    _fields = ("trajectory", "status", "report", "history", "signature",
+               "multipliers")
+    _defaults = {"signature": None, "multipliers": None}
 
     def to_dict(self) -> dict:
         return {
@@ -176,20 +174,26 @@ class _Objective:
         return math.sqrt(self.h1_drift + float(np.sum(self.w2 * B * B))
                          * self.proto.omega / 2.0)
 
+    def action(self, fields) -> float:
+        """The discrete action (omega/M) sum_i L_i of evaluated fields."""
+        return self.weight * float(np.sum(fields.L))
+
     def value_and_grad(self, b_flat: np.ndarray, z: np.ndarray, lam=None):
-        """S, or S_mu with multipliers lam (M, l), its gradient at b, whose
-        node positions are z, and the constraint values there (or None)."""
+        """S, or S_mu with multipliers lam (M, l), and its gradient at b,
+        whose node positions are z; and the evaluated fields, whose L
+        gives S without the multiplier terms (action), and f the
+        constraint values (M, l) or None."""
         path = self.grid.path(b_flat.reshape(self.shape), z)
         fields = self.terms.lagrangian_at(
             path, "objective" if lam is None else "penalized")
-        S = self.weight * float(np.sum(fields.L))
-        F = fields.f  # (M, l)
+        S = self.action(fields)
         if lam is not None:
+            F = fields.f
             S += self.weight * float(np.sum(F * (lam + 0.5 * AL_MU * F)))
             fields.dL[0] += np.sum((lam + AL_MU * F)[:, :, None]
                                    * fields.df, axis=1)
         grad = self.weight * self.grid.gradient(fields.dL)
-        return S, grad.reshape(-1), F
+        return S, grad.reshape(-1), fields
 
 
 class _LbfgsMemory:
@@ -338,7 +342,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
     # S_mu's multipliers and mu: none and 0 without constraints
     lam, mu = (np.zeros((opts.M, len(model.constraints))), AL_MU) \
         if model.constraints else (None, 0.0)
-    S, g, F = evaluate(b, z)  # the seed's S_mu sets the a priori radius
+    S, g, fields = evaluate(b, z)  # the seed's S_mu sets the a priori radius
     h1 = seed_h1 = obj.h1(b)
     # the clearance bound certifies windings, so only a tracked signature
     # needs it
@@ -365,11 +369,11 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
 
     def finish(status: str) -> SolveResult:
         traj = obj.traj(b)  # the current iterate, with the loop's S, g, h1
-        # S_mu holds the multiplier terms: the report's S drops them.  The
-        # gradient is the loop's, which a Converged solve leaves at that
-        # of S + (omega/M) sum lam f with the returned lam
-        S_b = S if lam is None else obj.value_and_grad(b, z)[0]
-        report = ActionReport.of(model, traj, S_b, g, h1)
+        # S_mu holds the multiplier terms: the report's S is the action
+        # alone, from the iterate's own fields.  The gradient is the
+        # loop's, which a Converged solve leaves at that of
+        # S + (omega/M) sum lam f with the returned lam
+        report = ActionReport.of(model, traj, obj.action(fields), g, h1)
         sig = None
         if track_signature:
             try:
@@ -396,12 +400,12 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
         })
         if gn <= opts.grad_tol and not updated:
             if lam is not None:
-                lam += mu * F  # the next estimate, from the round's own f
-            if lam is None or np.max(np.abs(F)) <= FEAS_TOL:
+                lam += mu * fields.f  # the next estimate, from the round's f
+            if lam is None or np.max(np.abs(fields.f)) <= FEAS_TOL:
                 return finish("Converged")
             # a gradient below grad_tol may still hide an f above
             # FEAS_TOL: the next round takes at least one step
-            S, g, F = evaluate(b, z)
+            S, g, fields = evaluate(b, z)
             updated = True
             continue
         if total_iter >= opts.max_iters:
@@ -426,14 +430,15 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
 
         def candidate(alpha):
             """A reason from REJECT_REASONS and its domain error, if any; or
-            None and the candidate's b, z, S_mu, g, f and node distance."""
+            None and the candidate's b, z, S_mu, g, fields and node
+            distance."""
             # 1.0 * direction is direction, bit for bit
             cand = b + direction if alpha == 1.0 else b + alpha * direction
             z_cand, d = obj.nodes(cand)
             if d <= opts.guard_delta:
                 return "guard", None
             try:
-                S_cand, g_cand, F_cand = obj.value_and_grad(cand, z_cand, lam)
+                S_cand, g_cand, f_cand = obj.value_and_grad(cand, z_cand, lam)
             except ex.EvalDomainError as err:
                 return "domain", err
             if S_cand > S + 1e-4 * alpha * dgd + noise:
@@ -442,7 +447,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             if track_signature and alpha * reach >= clear \
                     and obj.windings(cand) != seed_windings:
                 return "signature", None
-            return None, (cand, z_cand, S_cand, g_cand, F_cand, d)
+            return None, (cand, z_cand, S_cand, g_cand, f_cand, d)
 
         alpha = 1.0
         while alpha >= STEP_TOL:
@@ -466,7 +471,7 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                            "signature": "SignatureChanged"}.get(reason,
                                                                 "MaxIter"))
 
-        cand, z, S_cand, g_cand, F, dist = found
+        cand, z, S_cand, g_cand, fields, dist = found
         memory.push(cand - b, g_cand - g)
         b, S, g = cand, S_cand, g_cand
         h1 = obj.h1(b)

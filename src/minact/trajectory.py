@@ -23,10 +23,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .expr import Record
 from .model import SingularSet, _nearest, enumerate_planar, exact_int, \
     json_field, nearest_distances, nearest_singular, write_json
 
@@ -56,34 +56,34 @@ class WindingRefinementError(TrajectoryError):
     """Curve passes too near a singular point to classify its winding."""
 
 
-@dataclass(frozen=True, eq=False)
-class FourierTrajectory:
+class FourierTrajectory(Record):
     """Immutable odd trajectory; coeffs has shape (N, dim), row k-1 = mode k.
 
     The coefficients are read-only, so results that depend only on the
     trajectory and a singular set (its distance profile and winding
     signature) are computed once per trajectory and kept with it, as is
     its quadrature grid per node count (SineGrid.uniform), which
-    with_coeffs passes on to a copy of the same shape.
+    with_coeffs passes on to a copy of the same shape.  Two trajectories
+    are equal only when they are one object.
     """
 
-    omega: float
-    nu: tuple
-    coeffs: np.ndarray
+    _fields = ("omega", "nu", "coeffs")
+    __slots__ = _fields + ("_memo",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0):
+    def __init__(self, omega: float, nu: tuple, coeffs: np.ndarray):
+        if not (math.isfinite(omega) and omega > 0):
             raise TrajectoryError("omega must be finite and > 0")
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", float(omega))
         try:
-            nu = tuple(exact_int(v) for v in self.nu)
+            nu = tuple(exact_int(v) for v in nu)
         except ValueError as err:
             raise TrajectoryError(f"nu must hold integers: {err}") from None
         object.__setattr__(self, "nu", nu)
-        b = np.array(self.coeffs, dtype=float, copy=True)
+        b = np.array(coeffs, dtype=float, copy=True)
         if b.ndim != 2:
             raise TrajectoryError("coeffs must be a 2-d array (N, dim)")
-        if len(self.nu) > b.shape[1]:
+        if len(nu) > b.shape[1]:
             raise TrajectoryError("more winding entries than coordinates")
         if not np.all(np.isfinite(b)):
             raise TrajectoryError("coeffs must be finite")
@@ -129,18 +129,20 @@ class FourierTrajectory:
         return copy
 
 
-@dataclass(frozen=True)
-class SampledPath:
+class SampledPath(Record):
     """Uniform nodes t_i = i*omega/M with exact z, dz, ddz of the basis."""
 
-    t: np.ndarray
-    z: np.ndarray
-    dz: np.ndarray
-    ddz: np.ndarray
+    __slots__ = _fields = ("t", "z", "dz", "ddz")
+
+    def __init__(self, t: np.ndarray, z: np.ndarray, dz: np.ndarray,
+                 ddz: np.ndarray):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "dz", dz)
+        object.__setattr__(self, "ddz", ddz)
 
 
-@dataclass(frozen=True)
-class HomotopySignature:
+class HomotopySignature(Record):
     """Winding numbers per planar singular point plus clearance diagnostics.
 
     windings maps each enumerated singular point (base points and their
@@ -151,9 +153,7 @@ class HomotopySignature:
     of integral dt/|z(t) - s|^2 for the nearest singular point s.
     """
 
-    windings: dict
-    min_distance: float
-    clearance_integral: float
+    _fields = ("windings", "min_distance", "clearance_integral")
 
     def same_class(self, other: "HomotopySignature") -> bool:
         return self.windings == other.windings
@@ -239,7 +239,8 @@ def sample(traj: FourierTrajectory, M: int) -> SampledPath:
     grid = SineGrid.uniform(traj, M)
     b = traj.coeffs
     path = grid.path(b)
-    return replace(path, ddz=-grid.S @ (grid.w[:, None] ** 2 * b))
+    return SampledPath(path.t, path.z, path.dz,
+                       -grid.S @ (grid.w[:, None] ** 2 * b))
 
 
 def h1_seminorm(traj: FourierTrajectory) -> float:
@@ -509,14 +510,9 @@ def seed_curve(m_coils: int, s: SingularSet, omega: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoincareBounds:
-    lhs_l2: float
-    lhs_sup: float
-    rhs_l2: float
-    rhs_sup: float
-    holds_l2: bool
-    holds_sup: bool
+class PoincareBounds(Record):
+    _fields = ("lhs_l2", "lhs_sup", "rhs_l2", "rhs_sup", "holds_l2",
+               "holds_sup")
 
 
 def poincare_check(u_coeffs, omega: float, a: float,

@@ -15,7 +15,6 @@ test.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,13 +37,11 @@ class VerifyError(ValueError):
     """Inputs outside an operation's contract."""
 
 
-@dataclass(frozen=True)
-class SamplerOptions:
+class SamplerOptions(ex.Record):
     """Sampling plan for hypothesis falsification."""
 
-    count: int = 200
-    box_radius: float = 5.0
-    rng_seed: int = 0
+    _fields = ("count", "box_radius", "rng_seed")
+    _defaults = {"count": 200, "box_radius": 5.0, "rng_seed": 0}
 
     def __post_init__(self):
         if self.count < 1:
@@ -53,8 +50,7 @@ class SamplerOptions:
             raise VerifyError("sampler box_radius must be positive")
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(ex.Record):
     """Outcome of sample-based hypothesis checks on one model.
 
     Every flag is a "not falsified" verdict over the drawn sample;
@@ -62,21 +58,13 @@ class HypothesisReport:
     overall is True exactly when every flag holds and margin > 0.
     """
 
-    parity_ok: dict
-    bound_g_ok: bool
-    bound_a_ok: bool
-    bound_V_ok: bool
-    rank_ok: bool
-    rank_min_sv: float
-    margin: float
-    overall: bool
-    violated: list
-    witnesses: dict
-    warnings: list
+    _fields = ("parity_ok", "bound_g_ok", "bound_a_ok", "bound_V_ok",
+               "rank_ok", "rank_min_sv", "margin", "overall", "violated",
+               "witnesses", "warnings")
 
     def to_dict(self) -> dict:
         # a witness's arrays (points, singular values) become lists
-        return {**asdict(self),
+        return {**self._asdict(),
                 "witnesses": {name: {k: v.tolist()
                                      if isinstance(v, np.ndarray) else v
                                      for k, v in w.items()}
@@ -373,8 +361,7 @@ def check_hypotheses(model: ModelSpec,
         witnesses=witnesses, warnings=warnings)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(ex.Record):
     """Pointwise solution-quality metrics for one trajectory.
 
     el_sup / el_l2 measure the Euler-Lagrange residual (orthogonal to the
@@ -383,18 +370,13 @@ class ResidualReport:
     unconstrained model.  energy_drift is None for time-dependent models.
     """
 
-    el_sup: float
-    el_l2: float
-    multipliers: np.ndarray | None
-    constraint_sup: float
-    constraint_rate_sup: float
-    energy_drift: float | None
-    min_distance: float
-    clearance_integral: float
-    gram_warning: bool = False
+    _fields = ("el_sup", "el_l2", "multipliers", "constraint_sup",
+               "constraint_rate_sup", "energy_drift", "min_distance",
+               "clearance_integral", "gram_warning")
+    _defaults = {"gram_warning": False}
 
     def to_dict(self) -> dict:
-        return {**asdict(self),
+        return {**self._asdict(),
                 "multipliers": (None if self.multipliers is None
                                 else self.multipliers.tolist())}
 

@@ -1,6 +1,5 @@
 """Discrete action, exact gradient, and the coercivity arithmetic."""
 
-import dataclasses
 import math
 import sys
 
@@ -405,8 +404,8 @@ def test_surface_slide_tape_computes_each_distinct_subtree_once():
         # structural identity, with numbers compared by their bits and
         # the operands of + and * unordered
         parts = [type(e).__name__]
-        for f in dataclasses.fields(e):
-            v = getattr(e, f.name)
+        for name in e._fields:
+            v = getattr(e, name)
             if isinstance(v, ex.Expr):
                 v = key(v)
             elif isinstance(v, float):

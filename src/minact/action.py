@@ -70,7 +70,7 @@ class Fields(NamedTuple):
     f (M, l), df (M, l, dim), dtf (M, l): constraint values, gradients in
     z and derivatives in t.
     L (M,): the Lagrangian; dL (2, M, dim): dL/dz^d in dL[0], dL/ddz^d in
-    dL[1].
+    dL[1]; d2L (M, 2 dim, 2 dim): its second derivatives in [z | dz].
     """
 
     G: np.ndarray | None = None
@@ -86,6 +86,7 @@ class Fields(NamedTuple):
     dtf: np.ndarray | None = None
     L: np.ndarray | None = None
     dL: np.ndarray | None = None
+    d2L: np.ndarray | None = None
 
 
 # The groups of trees each kind of field evaluation computes, in the order
@@ -94,13 +95,15 @@ class Fields(NamedTuple):
 # evaluates no tree it does not use; where several trees leave their domain
 # at once, the first in this order names the EvalDomainError.  "dz" is dG,
 # da and dV interleaved per coordinate, the order of the action gradient.
-# The last four kinds run the Lagrangian program: the model trees its roots
-# are built from come first and are stored nowhere; L, dL and f, df, from
-# the first program group on, are stored.  The program's own operations
-# are +, - and *, which never leave their domain.
+# The four kinds after them run the Lagrangian program: the model trees its
+# roots are built from come first and are stored nowhere; L, dL and f, df,
+# from the first program group on, are stored.  The program's own
+# operations are +, - and *, which never leave their domain.  "hessian"
+# runs the program's second derivatives alone.
 _KINDS = {
     "residual": ("G", "dG", "dtG", "da", "dta", "dV"),
     "energy": ("G", "V"),
+    "data": ("G", "a", "V"),
     "metric": ("G",),
     "gyro": ("a",),
     "potential": ("V",),
@@ -111,6 +114,7 @@ _KINDS = {
     "gradient": ("G", "a", "dz", "dL"),
     "objective": ("G", "a", "V", "dz", "L", "dL"),
     "penalized": ("G", "a", "V", "dz", "L", "dL", "f", "df"),
+    "hessian": ("d2L",),
 }
 _PROGRAM = ("L", "dL")
 # the kinds minimize runs on every candidate: each runs as a kernel
@@ -126,8 +130,9 @@ class LagrangianTerms:
     are compiled into one expression tape (minact.expr.compile), so a
     field evaluation computes each distinct subtree once per node array.
     The Lagrangian program, which adds L and its partial derivatives as
-    roots, is compiled into a second tape on first use, and each kind of
-    _KERNEL_KINDS into a generated kernel on its first evaluation; copies
+    roots, is compiled into a second tape on first use, its second
+    derivatives into a third, and each kind of _KERNEL_KINDS into a
+    generated kernel on its first evaluation; copies
     of the model that share these terms share the kernels.
     """
 
@@ -180,33 +185,62 @@ class LagrangianTerms:
         dL/ddz^i = p_i + a_i, and dL/dz^d is L with g, a and V replaced
         by their derivatives in z^d (docs/expr-grammar.md).
         """
-        dim = self.dim
-        v = [ex.Var(dim + i) for i in range(1, dim + 1)]
-
-        def contract(g, a, V):
-            # (sum_i dz^i (p_i/2 + a_i) - V, [p_i + a_i])
-            total, partial = ex.ZERO, []
-            for i in range(dim):
-                p = ex.ZERO
-                for j in range(dim):
-                    p = ex.add(p, ex.mul(g[i][j], v[j]))
-                total = ex.add(total, ex.mul(
-                    v[i], ex.add(ex.mul(ex.const(0.5), p), a[i])))
-                partial.append(ex.add(p, a[i]))
-            return ex.sub(total, V), partial
-
+        contract = self._contract
         L, dLdv = contract(self.g, self.a, self.V)
         return L, tuple(contract(self.dg[d], self.da[d], self.dV[d])[0]
-                        for d in range(dim)), tuple(dLdv)
+                        for d in range(self.dim)), tuple(dLdv)
+
+    def _contract(self, g, a, V):
+        """(sum_i dz^i (p_i/2 + a_i) - V, [p_i + a_i]), p_i = sum_j g_ij
+        dz^j, for trees g, a and V."""
+        dim = self.dim
+        v = [ex.Var(dim + i) for i in range(1, dim + 1)]
+        total, partial = ex.ZERO, []
+        for i in range(dim):
+            p = ex.ZERO
+            for j in range(dim):
+                p = ex.add(p, ex.mul(g[i][j], v[j]))
+            total = ex.add(total, ex.mul(
+                v[i], ex.add(ex.mul(ex.const(0.5), p), a[i])))
+            partial.append(ex.add(p, a[i]))
+        return ex.sub(total, V), partial
 
     @functools.cached_property
     def _program_kinds(self) -> dict:
         return self._compile(True)
 
+    @functools.cached_property
+    def _hessian_kind(self):
+        """The "hessian" kind, as _compile gives a kind, on a tape of its
+        own: d2L, upper triangle.  L is linear in g, a and V, so L_zz in
+        z^d, z^e is L with their second derivatives, L_zv in z^d, dz^i
+        is dL/ddz^i with their first, and L_vv is g."""
+        dim, memos = self.dim, [{} for _ in range(self.dim)]
+
+        def diff(tree, v):
+            return ex.differentiate(tree, v, memos[v - 1])
+
+        second = {(d, e): self._contract(
+            [[diff(self.dg[d][i][j], e + 1) for j in range(dim)]
+             for i in range(dim)],
+            [diff(self.da[d][i], e + 1) for i in range(dim)],
+            diff(self.dV[d], e + 1))[0]
+            for d in range(dim) for e in range(d, dim)}
+        pairs = [(i, j) for i in range(2 * dim) for j in range(i, 2 * dim)]
+        tape = ex.compile([
+            second[i, j] if j < dim else self.g[i - dim][j - dim]
+            if i >= dim else self._contract(
+                self.dg[i], self.da[i], self.dV[i])[1][j - dim]
+            for i, j in pairs])
+        n = slice(None)
+        return tape, [("d2L", [(n, i, j)] + [(n, j, i)] * (i != j))
+                      for i, j in pairs], ("d2L",)
+
     def _compile(self, program: bool) -> dict:
         """kind -> (tape, (group, places) per root, groups it stores), for
         the kinds of _KINDS that run the Lagrangian program or for the
-        others.  The trees go into one tape; each kind runs a selection.
+        others ("hessian" aside).  The trees go into one tape; each kind
+        runs a selection.
         """
         dim, l = self.dim, len(self.f)
         n = slice(None)  # the node axis
@@ -256,7 +290,7 @@ class LagrangianTerms:
         compiled = {}
         for kind, groups in _KINDS.items():
             first = [groups.index(g) for g in _PROGRAM if g in groups]
-            if bool(first) != program:
+            if bool(first) != program or kind == "hessian":
                 continue
             order = [k for g in groups for k in index.get(g, [])]
             stored = groups[min(first, default=0):]
@@ -275,15 +309,16 @@ class LagrangianTerms:
         """Evaluate one kind of fields (a key of _KINDS) at node arrays in
         one tape run, or one kernel run for _KERNEL_KINDS; z is [z | dz]
         for the kinds of the program."""
-        tape, targets, groups = (self._kinds.get(kind)
-                                 or self._program_kinds[kind])
+        tape, targets, groups = self._hessian_kind if kind == "hessian" \
+            else self._kinds.get(kind) or self._program_kinds[kind]
         M = len(t)
         dim, l = self.dim, len(self.f)
         shapes = {"G": (M, dim, dim), "a": (M, dim), "V": (M,),
                   "dG": (dim, M, dim, dim), "da": (dim, M, dim),
                   "dV": (M, dim), "dtG": (M, dim, dim), "dta": (M, dim),
                   "f": (M, l), "df": (M, l, dim), "dtf": (M, l),
-                  "L": (M,), "dL": (2, M, dim)}
+                  "L": (M,), "dL": (2, M, dim),
+                  "d2L": (M, 2 * dim, 2 * dim)}
         out = {g: (np.zeros if g in self.zero else np.empty)(shapes[g])
                for g in groups}
         if kind in _KERNEL_KINDS:

@@ -780,50 +780,60 @@ def _intern(e: Expr, table) -> int:
 # ---------------------------------------------------------------------------
 
 
-def differentiate(e: Expr, v: int) -> Expr:
+def differentiate(e: Expr, v: int, memo: dict | None = None) -> Expr:
     """Exact symbolic derivative of e with respect to variable index v.
 
     Index 0 differentiates in t, index d >= 1 in the coordinate z^d.  The
     result is a tree; differentiating it again yields second derivatives.
     Constant folding and 0/1 identities keep the trees small, but no deeper
-    simplification is attempted.
+    simplification is attempted.  memo, a dict kept for one v while the
+    trees stay alive, maps id(node) to its derivative, so that a shared
+    subtree is differentiated once and its derivative shared.
     """
+    if memo is not None and id(e) in memo:
+        return memo[id(e)]
     if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.index == v else ZERO
-    if isinstance(e, Unary):
-        da = differentiate(e.arg, v)
+        d = ZERO
+    elif isinstance(e, Var):
+        d = ONE if e.index == v else ZERO
+    elif isinstance(e, Unary):
+        da = differentiate(e.arg, v, memo)
         if e.op == "neg":
-            return neg(da)
-        if e.op == "sin":
-            return mul(cos(e.arg), da)
-        if e.op == "cos":
-            return neg(mul(sin(e.arg), da))
-        if e.op == "exp":
-            return mul(exp(e.arg), da)
-        if e.op == "log":
-            return div(da, e.arg)
-        if e.op == "sqrt":
-            return div(da, mul(Const(2.0), sqrt(e.arg)))
-        raise ValueError(f"unknown unary op {e.op}")
-    if isinstance(e, Binary):
-        da = differentiate(e.lhs, v)
-        db = differentiate(e.rhs, v)
+            d = neg(da)
+        elif e.op == "sin":
+            d = mul(cos(e.arg), da)
+        elif e.op == "cos":
+            d = neg(mul(sin(e.arg), da))
+        elif e.op == "exp":
+            d = mul(exp(e.arg), da)
+        elif e.op == "log":
+            d = div(da, e.arg)
+        elif e.op == "sqrt":
+            d = div(da, mul(Const(2.0), sqrt(e.arg)))
+        else:
+            raise ValueError(f"unknown unary op {e.op}")
+    elif isinstance(e, Binary):
+        da = differentiate(e.lhs, v, memo)
+        db = differentiate(e.rhs, v, memo)
         if e.op == "+":
-            return add(da, db)
-        if e.op == "-":
-            return sub(da, db)
-        if e.op == "*":
-            return add(mul(da, e.rhs), mul(e.lhs, db))
-        if e.op == "/":
+            d = add(da, db)
+        elif e.op == "-":
+            d = sub(da, db)
+        elif e.op == "*":
+            d = add(mul(da, e.rhs), mul(e.lhs, db))
+        elif e.op == "/":
             num = sub(mul(da, e.rhs), mul(e.lhs, db))
-            return div(num, power(e.rhs, 2.0))
-        raise ValueError(f"unknown binary op {e.op}")
-    if isinstance(e, Power):
-        du = differentiate(e.base, v)
-        return mul(mul(Const(e.exponent), power(e.base, e.exponent - 1.0)), du)
-    raise TypeError(f"not an expression node: {e!r}")
+            d = div(num, power(e.rhs, 2.0))
+        else:
+            raise ValueError(f"unknown binary op {e.op}")
+    elif isinstance(e, Power):
+        du = differentiate(e.base, v, memo)
+        d = mul(mul(Const(e.exponent), power(e.base, e.exponent - 1.0)), du)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if memo is not None:
+        memo[id(e)] = d
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,11 @@ moves no point by more than delta = sum_k |b_k' - b_k|.  If delta < r_b the
 straight homotopy misses the set; other steps are classified on nodes
 sampled by inverse FFT.
 
+A seed in the fixed space of a half-period reflection that leaves the
+model invariant (minact.symmetry) is minimized there first, on half the
+unknowns and nodes; the Hessian's symmetry-breaking block then certifies
+a minimum, or gives the full-space loop its first step off a saddle.
+
 The run is fully deterministic: no randomness, fixed evaluation order.
 """
 
@@ -34,6 +39,7 @@ import math
 import numpy as np
 
 from . import expr as ex
+from . import symmetry as sy
 from .action import ActionReport, LagrangianTerms, apriori_radius, \
     coercivity_margin
 from .model import ModelSpec, enumerate_planar, least_distance, \
@@ -64,6 +70,11 @@ CERT_SLACK = 1e-9
 ROUNDING = 4.0 * np.finfo(float).eps
 # why the line search rejects a candidate, as counted in each history row
 REJECT_REASONS = ("armijo", "guard", "signature", "domain")
+# a seed's breaking part, relative to its size, below which it lies in the
+# fixed space; the band, relative to the breaking block's largest diagonal
+# entry, in which its least eigenvalue is inconclusive
+FIXED_TOL = 1e-12
+BAND = 1e-8
 
 
 class SolveOptions(ex.Record):
@@ -93,11 +104,15 @@ class SolveResult(ex.Record):
     Diverged | GuardTriggered | SignatureChanged | MaxIter), ActionReport
     (report) and history rows; its HomotopySignature (signature) where
     the solve tracks one, and the (M, l) multipliers at the nodes of a
-    constrained solve (or None)."""
+    constrained solve (or None); the axis r of the symmetric phase's
+    reflection (None if it did not run), its accepted steps and the
+    breaking block's least eigenvalue (None if not computed)."""
 
     _fields = ("trajectory", "status", "report", "history", "signature",
-               "multipliers")
-    _defaults = {"signature": None, "multipliers": None}
+               "multipliers", "axis", "symmetric_iters",
+               "breaking_eigenvalue")
+    _defaults = {"signature": None, "multipliers": None, "axis": None,
+                 "symmetric_iters": 0, "breaking_eigenvalue": None}
 
     def to_dict(self) -> dict:
         return {
@@ -107,6 +122,10 @@ class SolveResult(ex.Record):
             "windings": ({str(list(p)): w
                           for p, w in self.signature.windings.items()}
                          if self.signature else {}),
+            "reflection_axis": (None if self.axis is None
+                                else list(self.axis)),
+            "symmetric_iters": self.symmetric_iters,
+            "breaking_eigenvalue": self.breaking_eigenvalue,
         }
 
 
@@ -130,7 +149,7 @@ class _Objective:
     def __init__(self, model: ModelSpec, proto: FourierTrajectory, M: int):
         self.proto = proto
         self.terms = LagrangianTerms.of(model)
-        self.weight = model.omega / M
+        self.weight = self.h = model.omega / M  # and h the node spacing
         self.sigma = singular_set(model)
         self.grid = SineGrid.uniform(proto, M)
         self.shape = proto.coeffs.shape
@@ -141,23 +160,39 @@ class _Objective:
         self.h1_drift = proto.omega * float(np.dot(drift, drift))
         self.w2 = self.grid.w[:, None] ** 2
 
+    def coeffs(self, b_flat: np.ndarray) -> np.ndarray:
+        """The coefficients (N, dim) of the loop's coordinates b."""
+        return b_flat.reshape(self.shape)
+
+    def reduce(self, grad: np.ndarray) -> np.ndarray:
+        """A coefficient gradient (N, dim) in the loop's coordinates."""
+        return grad.reshape(-1)
+
+    def sizes(self, b_flat: np.ndarray) -> np.ndarray:
+        """|b_k| per mode."""
+        return _row_norms(self.coeffs(b_flat))
+
+    def reach(self, direction: np.ndarray) -> float:
+        """sum_k |d_k|: a step alpha d moves no point beyond alpha times
+        this."""
+        return float(np.sum(self.sizes(direction)))
+
     def traj(self, b_flat: np.ndarray) -> FourierTrajectory:
-        return self.proto.with_coeffs(b_flat.reshape(self.shape))
+        return self.proto.with_coeffs(self.coeffs(b_flat))
 
     def nodes(self, b_flat: np.ndarray):
         """Node positions (M, dim), shared by the guard and the objective,
         and their least distance to sigma (inf for an empty sigma)."""
-        z = self.grid.z(b_flat.reshape(self.shape))
+        z = self.grid.z(self.coeffs(b_flat))
         return z, least_distance(self.sigma, z)
 
     def clearance(self, b_flat: np.ndarray, node_distance: float) -> float:
         """Lower bound r_b on the distance from the curve b to sigma: every
         time lies within h/2 = omega/(2M) of a node, and the speed is at
         most |drift| + sum_k w_k |b_k|."""
-        speed = self.drift_speed + self.grid.w @ _row_norms(
-            b_flat.reshape(self.shape))
+        speed = self.drift_speed + self.grid.w @ self.sizes(b_flat)
         return ((1.0 - CERT_SLACK) * node_distance
-                - (1.0 + CERT_SLACK) * 0.5 * self.weight * float(speed))
+                - (1.0 + CERT_SLACK) * 0.5 * self.h * float(speed))
 
     def windings(self, b_flat: np.ndarray):
         """Winding dict on the default winding grid or, failing that, on
@@ -170,7 +205,7 @@ class _Objective:
 
     def h1(self, b_flat: np.ndarray) -> float:
         """h1_seminorm of the trajectory b, bit for bit."""
-        B = b_flat.reshape(self.shape)
+        B = self.coeffs(b_flat)
         return math.sqrt(self.h1_drift + float(np.sum(self.w2 * B * B))
                          * self.proto.omega / 2.0)
 
@@ -183,7 +218,7 @@ class _Objective:
         whose node positions are z; and the evaluated fields, whose L
         gives S without the multiplier terms (action), and f the
         constraint values (M, l) or None."""
-        path = self.grid.path(b_flat.reshape(self.shape), z)
+        path = self.grid.path(self.coeffs(b_flat), z)
         fields = self.terms.lagrangian_at(
             path, "objective" if lam is None else "penalized")
         S = self.action(fields)
@@ -193,7 +228,72 @@ class _Objective:
             fields.dL[0] += np.sum((lam + AL_MU * F)[:, :, None]
                                    * fields.df, axis=1)
         grad = self.weight * self.grid.gradient(fields.dL)
-        return S, grad.reshape(-1), fields
+        return S, self.reduce(grad), fields
+
+
+class _HalfPeriodObjective(_Objective):
+    """The objective on the fixed space of a half-period reflection
+    (minact.symmetry), in the c_k of b_k = c_k e_k: S and the gradient,
+    projected on the e_k, come from the first M/2 nodes of the full grid
+    with weight 2 omega/M; h stays the full grid's node spacing."""
+
+    def __init__(self, full: _Objective, axis: np.ndarray):
+        self.__dict__.update(full.__dict__)
+        self.axis = axis
+        self.grid = full.grid.head(len(full.grid.t) // 2)
+        self.weight = 2.0 * full.weight
+        self.E, self.F = sy.mode_directions(axis, self.shape[0])
+        self._last = None, None  # (c, its coefficients)
+
+    @classmethod
+    def of(cls, model: ModelSpec, full: _Objective, b_flat: np.ndarray):
+        """(the fixed-space objective, the seed b's coordinates there), or
+        (None, b) unless the model is planar, unconstrained and invariant
+        under the reflection swapping its one antipodal pair of singular
+        points, M is even and b has no breaking part."""
+        if (model.m, model.n) != (2, 0) or model.constraints \
+                or len(full.sig_centers) != 2 or len(full.grid.t) % 2:
+            return None, b_flat
+        axis = sy.reflection_axis(model, full.terms, full.sig_centers)
+        if axis is None:
+            return None, b_flat
+        half = cls(full, axis)
+        B = full.coeffs(b_flat)
+        if _norm(np.sum(B * half.F, axis=1)) > FIXED_TOL * _norm(b_flat):
+            return None, b_flat
+        return half, np.sum(B * half.E, axis=1)
+
+    def coeffs(self, c: np.ndarray) -> np.ndarray:
+        """c_k e_k, kept for the last c: the loop asks for the
+        coefficients of one iterate several times, and never writes to
+        an iterate."""
+        if c is not self._last[0]:
+            self._last = c, c[:, None] * self.E
+        return self._last[1]
+
+    def sizes(self, c: np.ndarray) -> np.ndarray:
+        return np.abs(c)  # |e_k| = 1 to rounding, far below CERT_SLACK
+
+    def reduce(self, grad: np.ndarray) -> np.ndarray:
+        return (grad * self.E).sum(axis=1)
+
+    def breaking_block(self, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The breaking block at c, whose node positions are z."""
+        return sy.breaking_block(self.terms, self.grid, self.weight,
+                                 self.axis, self.coeffs(c), z)
+
+    def second_order(self, c: np.ndarray, z: np.ndarray):
+        """(the breaking block's least eigenvalue, whether it lies above
+        the band, the escape direction): below the band, the unit
+        eigenvector with its largest entry positive in flat coefficients;
+        else None."""
+        H = self.breaking_block(c, z)
+        least, v = sy.least_eigenpair(H)
+        band = BAND * float(np.max(np.diag(H)))
+        if least >= -band:
+            return least, least > band, None
+        v = v * np.sign(v[np.argmax(np.abs(v))])
+        return least, False, sy.breaking_coeffs(self.F, v).reshape(-1)
 
 
 class _LbfgsMemory:
@@ -296,6 +396,13 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
       SignatureChanged no step exists keeping the seed's windings;
       MaxIter          iteration budget exhausted, or Armijo still failed
                        after the one steepest-descent retry.
+
+    A seed in the fixed space of a half-period reflection is minimized
+    there first (_HalfPeriodObjective).  If that phase and the full
+    gradient of its iterate meet grad_tol, a positive definite breaking
+    block returns it Converged, and a negative eigenvalue gives the
+    full-space loop its first step; any other end hands the iterate to
+    that loop.  max_iters counts the steps of both.
     """
     if seed.N != opts.N:
         raise OptimizeError(
@@ -313,7 +420,10 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
     # the iterate b carries its node positions, distance, H1 norm and
     # clearance bound, computed once when it is accepted
     b = seed.coeffs.reshape(-1).copy()
-    z, dist = obj.nodes(b)
+    # the symmetric phase, if any, and b in its coordinates
+    half, b = _HalfPeriodObjective.of(model, obj, b)
+    first = obj if half is None else half
+    z, dist = first.nodes(b)
     seed_windings = None
     if track_signature:
         try:
@@ -331,9 +441,9 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
 
     total_iter = 0
 
-    def evaluate(b_flat, z_b):
+    def evaluate(objective, b_flat, z_b):
         try:
-            return obj.value_and_grad(b_flat, z_b, lam)
+            return objective.value_and_grad(b_flat, z_b, lam)
         except ex.EvalDomainError as err:
             raise OptimizeError(
                 f"expression domain error at iteration {total_iter}: "
@@ -342,11 +452,9 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
     # S_mu's multipliers and mu: none and 0 without constraints
     lam, mu = (np.zeros((opts.M, len(model.constraints))), AL_MU) \
         if model.constraints else (None, 0.0)
-    S, g, fields = evaluate(b, z)  # the seed's S_mu sets the a priori radius
-    h1 = seed_h1 = obj.h1(b)
-    # the clearance bound certifies windings, so only a tracked signature
-    # needs it
-    clear = obj.clearance(b, dist) if track_signature else None
+    # the seed's S_mu sets the a priori radius
+    S, g, fields = evaluate(first, b, z)
+    h1 = seed_h1 = first.h1(b)
     diverge_h1 = DIVERGE_FACTOR * (
         apriori_radius(model.constants, model.omega, S)
         if coercivity_margin(model.constants, model.omega) > 0.0
@@ -366,8 +474,10 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
                       * sines[:, None, None]).reshape(len(h0), len(h0))
         h0 = np.linalg.inv(A + np.diag(1.0 / h0))
     history: list[dict] = []
+    symmetric_iters, least = 0, None  # for the result
 
-    def finish(status: str) -> SolveResult:
+    def finish(status: str, it) -> SolveResult:
+        b, _, _, _, g, fields, h1 = it
         traj = obj.traj(b)  # the current iterate, with the loop's S, g, h1
         # S_mu holds the multiplier terms: the report's S is the action
         # alone, from the iterate's own fields.  The gradient is the
@@ -383,104 +493,142 @@ def minimize(model: ModelSpec, seed: FourierTrajectory,
             if status == "Converged" and (sig is None
                                           or sig.windings != seed_windings):
                 status = "SignatureChanged"
-        return SolveResult(trajectory=traj, status=status, report=report,
-                           history=history, signature=sig, multipliers=lam)
+        return SolveResult(
+            trajectory=traj, status=status, report=report, history=history,
+            signature=sig, multipliers=lam,
+            axis=None if half is None else tuple(map(float, half.axis)),
+            symmetric_iters=symmetric_iters, breaking_eigenvalue=least)
 
-    memory = _LbfgsMemory(h0)
-    # the multipliers changed since the last step; the steepest-descent
-    # retry was taken from the current iterate
-    updated = retried = False
-    while True:
-        gn = _norm(g)
-        # the candidates rejected by the line search from this row
-        rejected = dict.fromkeys(REJECT_REASONS, 0)
-        history.append({
-            "iter": total_iter, "mu": mu, "S_mu": S, "grad_norm": gn,
-            "min_distance": dist, "h1": h1, "rejected": rejected,
-        })
-        if gn <= opts.grad_tol and not updated:
-            if lam is not None:
-                lam += mu * fields.f  # the next estimate, from the round's f
-            if lam is None or np.max(np.abs(fields.f)) <= FEAS_TOL:
-                return finish("Converged")
-            # a gradient below grad_tol may still hide an f above
-            # FEAS_TOL: the next round takes at least one step
-            S, g, fields = evaluate(b, z)
-            updated = True
-            continue
-        if total_iter >= opts.max_iters:
-            return finish("MaxIter")
-        direction = memory.direction(g)
-        dgd = float(np.dot(direction, g))
-        if dgd >= 0.0:
-            direction = -g
-            dgd = -float(np.dot(g, g))
-            memory.clear()
-        if not memory:
-            # first step, or first after a reset: conservative scale
-            scale = 1.0 / max(1.0, _norm(direction))
-            direction = direction * scale
-            dgd *= scale
-        # a step of alpha moves no point of the curve beyond alpha*reach
-        reach = float(np.sum(_row_norms(direction.reshape(obj.shape)))) \
-            if track_signature else None
-        # Armijo with a rounding allowance: near the minimum the demanded
-        # decrease falls below the resolution of S itself
-        noise = ROUNDING * (1.0 + abs(S))
-
-        def candidate(alpha):
-            """A reason from REJECT_REASONS and its domain error, if any; or
-            None and the candidate's b, z, S_mu, g, fields and node
-            distance."""
-            # 1.0 * direction is direction, bit for bit
-            cand = b + direction if alpha == 1.0 else b + alpha * direction
-            z_cand, d = obj.nodes(cand)
-            if d <= opts.guard_delta:
-                return "guard", None
-            try:
-                S_cand, g_cand, f_cand = obj.value_and_grad(cand, z_cand, lam)
-            except ex.EvalDomainError as err:
-                return "domain", err
-            if S_cand > S + 1e-4 * alpha * dgd + noise:
-                return "armijo", None
-            # a step not certified by the clearance bound is classified
-            if track_signature and alpha * reach >= clear \
-                    and obj.windings(cand) != seed_windings:
-                return "signature", None
-            return None, (cand, z_cand, S_cand, g_cand, f_cand, d)
-
-        alpha = 1.0
-        while alpha >= STEP_TOL:
-            reason, found = candidate(alpha)
-            if reason is None:
-                break
-            rejected[reason] += 1
-            alpha *= 0.5
-        else:
-            if reason == "domain":
-                raise OptimizeError(
-                    f"expression domain error persisted through the line "
-                    f"search at iteration {total_iter}: {found}")
-            if reason == "armijo" and memory and not retried:
-                # Armijo stalled on the quasi-Newton direction; retry once
-                # from plain steepest descent before giving up
-                memory.clear()
-                retried = True
+    def descend(obj, h0, it, escape=None):
+        """The status and last iterate of the loop on obj from the
+        iterate it = (b, z, dist, S, g, fields, h1).  An escape direction
+        is the first step's, taken whatever the gradient."""
+        nonlocal total_iter, lam
+        b, z, dist, S, g, fields, h1 = it
+        # the clearance bound certifies windings, so only a tracked
+        # signature needs it
+        clear = obj.clearance(b, dist) if track_signature else None
+        memory = _LbfgsMemory(h0)
+        # the multipliers changed since the last step; the steepest-descent
+        # retry was taken from the current iterate
+        updated = retried = False
+        while True:
+            gn = _norm(g)
+            # the candidates rejected by the line search from this row
+            rejected = dict.fromkeys(REJECT_REASONS, 0)
+            history.append({
+                "iter": total_iter, "mu": mu, "S_mu": S, "grad_norm": gn,
+                "min_distance": dist, "h1": h1, "rejected": rejected,
+            })
+            if gn <= opts.grad_tol and not updated and escape is None:
+                if lam is not None:
+                    lam += mu * fields.f  # the next estimate, from f
+                if lam is None or np.max(np.abs(fields.f)) <= FEAS_TOL:
+                    return "Converged", (b, z, dist, S, g, fields, h1)
+                # a gradient below grad_tol may still hide an f above
+                # FEAS_TOL: the next round takes at least one step
+                S, g, fields = evaluate(obj, b, z)
+                updated = True
                 continue
-            return finish({"guard": "GuardTriggered",
-                           "signature": "SignatureChanged"}.get(reason,
-                                                                "MaxIter"))
+            if total_iter >= opts.max_iters:
+                return "MaxIter", (b, z, dist, S, g, fields, h1)
+            escaping = escape is not None
+            if escaping:
+                direction, escape = escape, None
+                dgd = float(np.dot(direction, g))
+            else:
+                direction = memory.direction(g)
+                dgd = float(np.dot(direction, g))
+                if dgd >= 0.0:
+                    direction = -g
+                    dgd = -float(np.dot(g, g))
+                    memory.clear()
+            if not memory:
+                # first step, or first after a reset: conservative scale
+                scale = 1.0 / max(1.0, _norm(direction))
+                direction = direction * scale
+                dgd *= scale
+            # a step of alpha moves no point of the curve beyond
+            # alpha*reach
+            reach = obj.reach(direction) if track_signature else None
+            # Armijo with a rounding allowance: near the minimum the
+            # demanded decrease falls below the resolution of S itself
+            noise = ROUNDING * (1.0 + abs(S))
 
-        cand, z, S_cand, g_cand, fields, dist = found
-        memory.push(cand - b, g_cand - g)
-        b, S, g = cand, S_cand, g_cand
-        h1 = obj.h1(b)
-        if track_signature:
-            clear = obj.clearance(b, dist)
-        retried = updated = False
-        total_iter += 1
-        if h1 > diverge_h1:
-            return finish("Diverged")
+            def candidate(alpha):
+                """A reason from REJECT_REASONS and its domain error, if
+                any; or None and the candidate's b, z, S_mu, g, fields and
+                node distance."""
+                # 1.0 * direction is direction, bit for bit
+                cand = b + direction if alpha == 1.0 \
+                    else b + alpha * direction
+                z_cand, d = obj.nodes(cand)
+                if d <= opts.guard_delta:
+                    return "guard", None
+                try:
+                    S_cand, g_cand, f_cand = obj.value_and_grad(
+                        cand, z_cand, lam)
+                except ex.EvalDomainError as err:
+                    return "domain", err
+                if S_cand > S + 1e-4 * alpha * dgd + noise:
+                    return "armijo", None
+                # a step not certified by the clearance bound is classified
+                if track_signature and alpha * reach >= clear \
+                        and obj.windings(cand) != seed_windings:
+                    return "signature", None
+                return None, (cand, z_cand, S_cand, g_cand, f_cand, d)
+
+            alpha = 1.0
+            while alpha >= STEP_TOL:
+                reason, found = candidate(alpha)
+                if reason is None:
+                    break
+                rejected[reason] += 1
+                alpha *= 0.5
+            else:
+                if reason == "domain":
+                    raise OptimizeError(
+                        f"expression domain error persisted through the "
+                        f"line search at iteration {total_iter}: {found}")
+                if escaping:
+                    continue  # no step leaves the saddle: the loop decides
+                if reason == "armijo" and memory and not retried:
+                    # Armijo stalled on the quasi-Newton direction; retry
+                    # once from plain steepest descent before giving up
+                    memory.clear()
+                    retried = True
+                    continue
+                return {"guard": "GuardTriggered",
+                        "signature": "SignatureChanged"}.get(
+                            reason, "MaxIter"), (b, z, dist, S, g, fields, h1)
+
+            cand, z, S_cand, g_cand, fields, dist = found
+            memory.push(cand - b, g_cand - g)
+            b, S, g = cand, S_cand, g_cand
+            h1 = obj.h1(b)
+            if track_signature:
+                clear = obj.clearance(b, dist)
+            retried = updated = False
+            total_iter += 1
+            if h1 > diverge_h1:
+                return "Diverged", (b, z, dist, S, g, fields, h1)
+
+    it, escape = (b, z, dist, S, g, fields, h1), None
+    if half is not None:
+        status, it = descend(half, 1.0 / diag_kin, it)
+        symmetric_iters = total_iter
+        # the phase's iterate on all M nodes: a certified minimum's report
+        c, z_half = it[0], it[1]
+        b = half.coeffs(c).reshape(-1)
+        z, dist = obj.nodes(b)
+        S, g, fields = evaluate(obj, b, z)
+        it = (b, z, dist, S, g, fields, it[6])
+        if status == "Converged" and _norm(g) <= opts.grad_tol:
+            least, certified, escape = half.second_order(c, z_half)
+            if certified:
+                return finish("Converged", it)
+    status, it = descend(obj, h0, it, escape)
+    return finish(status, it)
 
 
 def solve_in_class(model: ModelSpec, homotopy_class, opts: SolveOptions,

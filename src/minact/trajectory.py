@@ -196,6 +196,15 @@ class SineGrid:
         return traj._memoized(
             ("grid", M), lambda: cls(traj, traj.omega * np.arange(M) / M))
 
+    def head(self, M: int) -> "SineGrid":
+        """The grid on its first M nodes, as views into this one's
+        arrays."""
+        head = object.__new__(SineGrid)
+        head.__dict__.update(self.__dict__)
+        for name in ("t", "z_drift", "S", "Cw"):
+            setattr(head, name, getattr(self, name)[:M])
+        return head
+
     def z(self, B: np.ndarray) -> np.ndarray:
         return self.z_drift + self.S @ B
 

@@ -91,19 +91,23 @@ def _draw_samples(model: ModelSpec, sampler: SamplerOptions):
     return t, z
 
 
-def _parity_ok(f, t, z, declared=None):
+def _parity_ok(f, t, z, declared=None, values=None):
     """Check f(-t,-z) == f(t,z), or == -f(t,z) when declared is "odd".
 
     Returns (ok, witness or None).  declared is a constraint's parity tag,
     which its witness repeats; the model data g, a and V pass None and
-    must be even.
+    must be even.  values, if given, are f on the stacked samples
+    (t, z) + (-t, -z); else f is evaluated here.
     """
     sign = -1.0 if declared == "odd" else 1.0
-    try:
-        plus = ex.evaluate(f, t, z)
-        minus = ex.evaluate(f, -t, -z)
-    except ex.EvalDomainError:
-        return True, None  # partial domain: nothing falsified
+    if values is not None:
+        plus, minus = values[:len(t)], values[len(t):]
+    else:
+        try:
+            plus = ex.evaluate(f, t, z)
+            minus = ex.evaluate(f, -t, -z)
+        except ex.EvalDomainError:
+            return True, None  # partial domain: nothing falsified
     scale = 1.0 + np.maximum(np.abs(plus), np.abs(minus))
     bad = np.abs(minus - sign * plus) > _PARITY_RTOL * scale
     if not np.any(bad):
@@ -224,37 +228,52 @@ def check_hypotheses(model: ModelSpec,
     rng = np.random.default_rng(sampler.rng_seed + 1)
     t, z = _draw_samples(model, sampler)
     k = model.constants
-    terms = LagrangianTerms.of(model)
     s = singular_set(model)
     dim = model.dim
+    n, d2 = len(t), dim * dim
+    # every g entry, a, V and f on the samples and their reflections, in
+    # one tape run; after a domain error each tree and each bound is
+    # evaluated on its own, so that only the trees that leave their domain
+    # skip their test
+    trees = [e for row in model.metric for e in row] + [
+        *model.gyro, model.potential, *(c.f for c in model.constraints)]
+    try:
+        stacked = ex.compile(trees).run(np.concatenate((t, -t)),
+                                        np.concatenate((z, -z)))
+    except ex.EvalDomainError:
+        stacked = None
+    terms = LagrangianTerms.of(model) \
+        if stacked is None or model.constraints else None
 
     parity_ok: dict = {}
     witnesses: dict = {}
     warnings: list = []
     violated: list = []
 
-    def note_parity(name, trees, declared=None):
+    def note_parity(name, first, count, declared=None):
         # the first tree that fails the parity test is the witness
-        for f in trees:
-            ok, wit = _parity_ok(f, t, z, declared)
+        for i in range(first, first + count):
+            ok, wit = _parity_ok(trees[i], t, z, declared,
+                                 None if stacked is None else stacked[i])
             if not ok:
                 parity_ok[name] = False
                 witnesses["parity:" + name] = wit
                 return
         parity_ok[name] = True
 
-    note_parity("g", [e for row in model.metric for e in row])
-    note_parity("a", model.gyro)
-    note_parity("V", [model.potential])
+    note_parity("g", 0, d2)
+    note_parity("a", d2, dim)
+    note_parity("V", d2 + dim, 1)
     for ci, c in enumerate(model.constraints):
-        note_parity(f"constraint[{ci}]", [c.f], c.parity)
+        note_parity(f"constraint[{ci}]", d2 + dim + 1 + ci, 1, c.parity)
 
     # metric lower bound on random unit directions
     bound_g_ok = True
     xi = rng.normal(size=(len(t), 4, dim))
     xi /= np.linalg.norm(xi, axis=2, keepdims=True)
     try:
-        G = terms.metric_at(t, z)  # (M, dim, dim)
+        G = terms.metric_at(t, z) if stacked is None else np.stack(
+            stacked[:d2], axis=1)[:n].reshape(n, dim, dim)  # (M, dim, dim)
         quad = 0.5 * np.einsum("mkd,mde,mke->mk", xi, G, xi)
         bad = quad < k.K - 1e-10 * (1.0 + k.K)
         if np.any(bad):
@@ -272,7 +291,8 @@ def check_hypotheses(model: ModelSpec,
     znorm = np.linalg.norm(z, axis=1)
     cap = k.C + k.M * znorm
     try:
-        a_vals = terms.fields(t, z, "gyro").a  # (M, dim)
+        a_vals = terms.fields(t, z, "gyro").a if stacked is None \
+            else np.stack(stacked[d2:d2 + dim], axis=1)[:n]  # (M, dim)
         slack = 1e-10 * (1.0 + cap)
         bad = np.abs(a_vals) > (cap + slack)[:, None]
         if np.any(bad):
@@ -288,7 +308,8 @@ def check_hypotheses(model: ModelSpec,
     # potential upper bound with the nearest singular translate
     bound_V_ok = True
     try:
-        V_vals = terms.fields(t, z, "potential").V
+        V_vals = terms.fields(t, z, "potential").V if stacked is None \
+            else stacked[d2 + dim][:n]
         if s.is_empty():
             bound = k.A * znorm ** 2 + k.C1
         else:

@@ -288,6 +288,27 @@ def test_tape_matches_evaluate_on_every_model_tree(name, rng):
             ex.to_text(e)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("gyro",))
+def test_hessian_kind_matches_differences_of_dL(name, rng):
+    """The hessian kind's d2L, the second derivatives of L in [z | dz], is
+    symmetric and equals central differences of the program's dL."""
+    model = _model(name)
+    terms = LagrangianTerms(model)
+    t, z, dz = _nodes(model, rng, M=16)
+    zv = np.concatenate((z, dz), axis=1)
+    D = terms.fields(t, zv, "hessian").d2L
+    assert D.shape == (16, 2 * model.dim, 2 * model.dim)
+    assert np.array_equal(D, D.transpose(0, 2, 1))
+    eps = 1e-6
+    for j in range(2 * model.dim):
+        dL = [terms.fields(t, zv + s * np.eye(2 * model.dim)[j],
+                           "gradient").dL for s in (eps, -eps)]
+        fd = (np.concatenate(dL[0], axis=1)
+              - np.concatenate(dL[1], axis=1)) / (2.0 * eps)
+        scale = 1.0 + np.max(np.abs(D), axis=(1, 2))
+        assert np.all(np.abs(fd - D[:, :, j]) <= 1e-8 * scale[:, None]), j
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("constrained", "gyro"))
 def test_fields_match_per_entry_evaluation(name, rng):
     """fields() equals the entry-by-entry reference, and the Lagrangian
@@ -456,13 +477,13 @@ def test_metric_derivatives_differentiate_the_upper_triangle(monkeypatch):
     calls, depth = [], [0]
     original = ex.differentiate
 
-    def counted(e, v):
+    def counted(e, v, *memo):
         # only the calls LagrangianTerms makes, not the recursion's own
         if depth[0] == 0 and any(e is m for m in entries):
             calls.append(v)
         depth[0] += 1
         try:
-            return original(e, v)
+            return original(e, v, *memo)
         finally:
             depth[0] -= 1
 

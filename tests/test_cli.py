@@ -159,9 +159,12 @@ def test_solve_figure_eight_files(tmp_path, capsys):
     assert out.startswith("status: Converged  S = 19.98175579"), out
 
     result = read_json(tmp_path / "result.json")
-    assert sorted(result) == ["history", "report", "residual", "status",
-                              "windings"]
+    assert sorted(result) == ["breaking_eigenvalue", "history",
+                              "reflection_axis", "report", "residual",
+                              "status", "symmetric_iters", "windings"]
     assert result["status"] == "Converged"
+    assert result["reflection_axis"] == [1.0, 0.0]
+    assert result["breaking_eigenvalue"] > 1.0
     assert result["windings"] == {"[1.0, 0.0]": -1, "[-1.0, 0.0]": 1}
     assert result["residual"]["el_sup"] < 1e-5
     assert abs(result["report"]["S"] - 19.981755794618) < 1e-6

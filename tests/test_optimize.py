@@ -119,7 +119,9 @@ def _rejections(history):
 def test_history_counts_line_search_rejections(monkeypatch):
     """Each history row counts the candidates its line search rejected,
     by reason.  Every candidate gets one node-guard call, so the guard
-    calls after the seed's are the accepted steps plus the rejections.
+    calls after the seed's are the accepted steps plus the rejections,
+    plus one where the full space takes over from a symmetric phase (both
+    models here are symmetric, and both seeds lie in the fixed space).
     A two-coil solve backtracks on Armijo alone.  The shrinking loop
     meets the guard ring, where its line searches reject on the guard and
     on the winding signature, and its last search ends on the guard."""
@@ -136,7 +138,8 @@ def test_history_counts_line_search_rejections(monkeypatch):
         assert res.status == status
         total = _rejections(res.history)
         assert {r for r, count in total.items() if count} == reasons, total
-        candidates += 1 + res.history[-1]["iter"] + sum(total.values())
+        assert res.axis is not None
+        candidates += 2 + res.history[-1]["iter"] + sum(total.values())
     assert len(nodes) == candidates
     assert res.history[-1]["rejected"]["guard"] > 0
 
@@ -404,8 +407,18 @@ def test_penalty_free_model_runs_single_phase():
 def test_result_to_dict_shape():
     res = solve_in_class(builtin("two_centers"), 1, SolveOptions(N=16))
     d = res.to_dict()
-    assert set(d) == {"status", "report", "history", "windings"}
+    assert set(d) == {"status", "report", "history", "windings",
+                      "reflection_axis", "symmetric_iters",
+                      "breaking_eigenvalue"}
     assert d["windings"] == {"[1.0, 0.0]": -1, "[-1.0, 0.0]": 1}
+    # two_centers is symmetric under the reflection across r0's axis
+    assert d["reflection_axis"] == [1.0, 0.0]
+    assert d["symmetric_iters"] == res.history[-1]["iter"] > 0
+    assert d["breaking_eigenvalue"] > 0.0
+    plain = minimize(builtin("tube_ball"), FourierTrajectory(
+        1.0, (1,), np.zeros((16, 2))), SolveOptions(N=16)).to_dict()
+    assert (plain["reflection_axis"], plain["symmetric_iters"],
+            plain["breaking_eigenvalue"]) == (None, 0, None)
 
 
 def _record_iterates(monkeypatch):

@@ -65,11 +65,12 @@ CASES = {
         "guard_delta=0.001)",
         ({"M": 16}, OptimizeError)),
     SolveResult: (
-        (TRAJ, "Converged", None, [{"iter": 0}], None, None),
+        (TRAJ, "Converged", None, [{"iter": 0}], None, None, None, 0, None),
         "SolveResult(trajectory=FourierTrajectory(omega=6.283185307179586, "
         "nu=(), coeffs=array([[0.5, 0. ]])), status='Converged', "
         "report=None, history=[{'iter': 0}], signature=None, "
-        "multipliers=None)", None),
+        "multipliers=None, axis=None, symmetric_iters=0, "
+        "breaking_eigenvalue=None)", None),
     SamplerOptions: ((50, 2.0, 7),
                      "SamplerOptions(count=50, box_radius=2.0, rng_seed=7)",
                      ({"count": 0}, VerifyError)),

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from minact import expr as ex
-from minact.model import (Constraint, GrowthConstants, ModelSpec, SingularSet,
-                          builtin, model_to_dict, singular_set, with_nu,
-                          with_omega)
+from minact.model import (BUILTIN_NAMES, Constraint, GrowthConstants,
+                          ModelSpec, SingularSet, builtin, model_to_dict,
+                          singular_set, with_nu, with_omega)
 from minact.trajectory import FourierTrajectory, h1_seminorm, \
     min_distance_to, seed_curve, winding_signature
 from minact.action import LagrangianTerms, action_gradient, action_report
@@ -302,6 +302,31 @@ def test_hypotheses_partial_domain_warns():
     assert rep.bound_V_ok
     assert len(rep.warnings) == 1 and "bound check skipped" in rep.warnings[0], \
         f"warnings = {rep.warnings}"
+
+
+def test_check_runs_the_model_data_on_one_tape(monkeypatch):
+    """check evaluates every g entry, a, V and f in one tape run on the
+    samples and their reflections (-t, -z), and an unconstrained model
+    builds no LagrangianTerms.  The reports equal those of the per-tree
+    and per-bound path that a domain error in that run falls back to."""
+    builds = count_calls(monkeypatch, LagrangianTerms, "__init__")
+    runs = count_calls(monkeypatch, ex.Tape, "run")
+    sampler = SamplerOptions(count=60, rng_seed=5)
+    reports = {name: check_hypotheses(builtin(name), sampler).to_dict()
+               for name in BUILTIN_NAMES}
+    assert builds == [] and len(runs) == len(BUILTIN_NAMES)
+    original = ex.Tape.run
+
+    def refused(self, t, z):
+        if len(t) == 2 * sampler.count:  # only the stacked run
+            raise ex.EvalDomainError("refused", ex.ZERO)
+        return original(self, t, z)
+
+    monkeypatch.setattr(ex.Tape, "run", refused)
+    for name in BUILTIN_NAMES:
+        assert check_hypotheses(builtin(name), sampler).to_dict() == \
+            reports[name], name
+    assert builds
 
 
 def test_hypotheses_sampler_box_matters():

@@ -36,6 +36,6 @@ from .optimize import (SolveOptions, SolveResult, OptimizeError, minimize,
 from .verify import (SamplerOptions, HypothesisReport, ResidualReport,
                      VerifyError, check_hypotheses, el_residual,
                      recover_multipliers, energy_drift,
-                     homotopy_equiv_sufficient, holder_seminorm)
+                     homotopy_equiv_sufficient)
 
 __version__ = "0.1.0"

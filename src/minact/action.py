@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -105,8 +104,6 @@ _KINDS = {
     "energy": ("G", "V"),
     "data": ("G", "a", "V"),
     "metric": ("G",),
-    "gyro": ("a",),
-    "potential": ("V",),
     "constraints": ("f",),
     "constraint_jacobian": ("df",),
     "constraint_rate": ("dtf",),
@@ -141,7 +138,7 @@ class LagrangianTerms:
         """The model's terms, built on first use and kept on the model
         instance outside its fields, so every caller shares one build.
         with_omega and with_nu copies share the original's terms when it
-        has them; a replace() copy builds its own."""
+        has them; a _replace copy builds its own."""
         if "_terms" not in model.__dict__:
             object.__setattr__(model, "_terms", cls(model))
         return model._terms
@@ -354,6 +351,8 @@ class LagrangianTerms:
         return self.lagrangian_at(path, "gradient").dL
 
     def metric_at(self, t, z) -> np.ndarray:
+        """The metric at the nodes, shape (M, dim, dim); the benchmark's
+        tracer (perfbench/tracer.py) times its calls."""
         return self.fields(t, z, "metric").G
 
     def constraints_at(self, t, z) -> np.ndarray:
@@ -432,16 +431,11 @@ def apriori_radius(k: GrowthConstants, omega: float, S_ref: float) -> float:
     return (c_term + math.sqrt(disc)) / (2.0 * margin)
 
 
-@dataclass(frozen=True)
-class ActionReport:
+class ActionReport(ex.Record):
     """Summary of one trajectory against one model."""
 
-    S: float
-    grad_norm: float
-    h1: float
-    min_distance: float
-    margin: float
-    lower_bound_at_h1: float
+    _fields = ("S", "grad_norm", "h1", "min_distance", "margin",
+               "lower_bound_at_h1")
 
     @classmethod
     def of(cls, model: ModelSpec, traj: FourierTrajectory, S: float,
@@ -455,7 +449,7 @@ class ActionReport:
                    lower_bound_at_h1=action_lower_bound(k, model.omega, h1))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def action_report(model: ModelSpec, traj: FourierTrajectory,

@@ -71,8 +71,9 @@ class Record:
     and normalize them (with object.__setattr__).  Instances compare equal
     and hash by their field tuple when their classes match, print as a
     dataclass prints, refuse assignment and deletion, and pickle and copy
-    by calling the class on their field values.  A class built in inner
-    loops declares __slots__ and its own __init__.
+    by calling the class on their field values, as _replace does with
+    some fields changed.  A class built in inner loops declares __slots__
+    and its own __init__.
     """
 
     __slots__ = ()
@@ -132,6 +133,11 @@ class Record:
     def _asdict(self) -> dict:
         """{field: value}, the values themselves, not copies."""
         return dict(zip(self._fields, self._values()))
+
+    def _replace(self, **changes):
+        """A copy with some fields changed, built by calling the class, so
+        that __post_init__ checks and normalizes it again."""
+        return type(self)(**{**self._asdict(), **changes})
 
 
 class Expr(Record):

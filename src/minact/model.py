@@ -27,7 +27,6 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,8 +108,7 @@ def _reduce_angle(value: float) -> float:
     return r + 0.0  # normalize -0.0
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """Immutable description of one Lagrangian system.
 
     Fields
@@ -132,16 +130,11 @@ class ModelSpec:
         [-pi, pi) and exact duplicates dropped.
     """
 
-    m: int
-    n: int
-    omega: float
-    nu: tuple
-    metric: tuple
-    gyro: tuple
-    potential: Expr
-    constraints: tuple = ()
-    constants: GrowthConstants = GrowthConstants(0, 0, 0, 0.5, 0, 0)
-    sigma_base: tuple = ()
+    _fields = ("m", "n", "omega", "nu", "metric", "gyro", "potential",
+               "constraints", "constants", "sigma_base")
+    _defaults = {"constraints": (),
+                 "constants": GrowthConstants(0, 0, 0, 0.5, 0, 0),
+                 "sigma_base": ()}
 
     def __post_init__(self):
         m, n = _count(self.m, "m"), _count(self.n, "n")
@@ -526,13 +519,13 @@ def builtin(name: str, **params) -> ModelSpec:
 def with_omega(model: ModelSpec, omega: float) -> ModelSpec:
     """Copy of the model with a different period; it shares the model's
     compiled terms (see _sharing_terms)."""
-    return _sharing_terms(model, replace(model, omega=float(omega)))
+    return _sharing_terms(model, model._replace(omega=float(omega)))
 
 
 def with_nu(model: ModelSpec, nu) -> ModelSpec:
     """Copy of the model with a different winding vector; it shares the
     model's compiled terms (see _sharing_terms)."""
-    return _sharing_terms(model, replace(model, nu=tuple(nu)))
+    return _sharing_terms(model, model._replace(nu=tuple(nu)))
 
 
 def _sharing_terms(model: ModelSpec, copy: ModelSpec) -> ModelSpec:

@@ -28,7 +28,7 @@ from .trajectory import FourierTrajectory, min_distance_to, sample, \
 __all__ = ["SamplerOptions", "HypothesisReport", "ResidualReport",
            "VerifyError", "check_hypotheses", "el_residual",
            "recover_multipliers", "energy_drift",
-           "homotopy_equiv_sufficient", "holder_seminorm"]
+           "homotopy_equiv_sufficient"]
 
 _PARITY_RTOL = 1e-10
 
@@ -91,23 +91,19 @@ def _draw_samples(model: ModelSpec, sampler: SamplerOptions):
     return t, z
 
 
-def _parity_ok(f, t, z, declared=None, values=None):
-    """Check f(-t,-z) == f(t,z), or == -f(t,z) when declared is "odd".
+def _parity_ok(t, z, plus, minus, declared=None):
+    """Check f(-t,-z) == f(t,z), or == -f(t,z) when declared is "odd", from
+    f's values plus on the samples (t, z) and minus on their reflections.
 
-    Returns (ok, witness or None).  declared is a constraint's parity tag,
-    which its witness repeats; the model data g, a and V pass None and
-    must be even.  values, if given, are f on the stacked samples
-    (t, z) + (-t, -z); else f is evaluated here.
+    Returns (ok, witness or None); a half that left f's domain (an
+    EvalDomainError in place of its values) falsifies nothing.  declared
+    is a constraint's parity tag, which its witness repeats; the model
+    data g, a and V pass None and must be even.
     """
+    if isinstance(plus, ex.EvalDomainError) \
+            or isinstance(minus, ex.EvalDomainError):
+        return True, None
     sign = -1.0 if declared == "odd" else 1.0
-    if values is not None:
-        plus, minus = values[:len(t)], values[len(t):]
-    else:
-        try:
-            plus = ex.evaluate(f, t, z)
-            minus = ex.evaluate(f, -t, -z)
-        except ex.EvalDomainError:
-            return True, None  # partial domain: nothing falsified
     scale = 1.0 + np.maximum(np.abs(plus), np.abs(minus))
     bad = np.abs(minus - sign * plus) > _PARITY_RTOL * scale
     if not np.any(bad):
@@ -118,6 +114,28 @@ def _parity_ok(f, t, z, declared=None, values=None):
     if declared is not None:
         wit["declared"] = declared
     return False, wit
+
+
+def _on_halves(trees, t, z) -> list:
+    """(values on the samples (t, z), values on their reflections (-t, -z))
+    per tree: one tape run on both halves stacked or, after a domain error
+    there, each tree on each half, where a half that leaves the tree's
+    domain gives its EvalDomainError in place of the values."""
+    n, tape = len(t), ex.compile(trees)
+    try:
+        return [(v[:n], v[n:]) for v in tape.run(np.concatenate((t, -t)),
+                                                 np.concatenate((z, -z)))]
+    except ex.EvalDomainError:
+        pass
+
+    def run(one, tk, zk):
+        try:
+            return one.run(tk, zk)[0]
+        except ex.EvalDomainError as err:
+            return err
+
+    ones = [tape.select([k]) for k in range(len(trees))]
+    return [(run(one, t, z), run(one, -t, -z)) for one in ones]
 
 
 def _by_rows(run, t, z, shape):
@@ -231,19 +249,10 @@ def check_hypotheses(model: ModelSpec,
     s = singular_set(model)
     dim = model.dim
     n, d2 = len(t), dim * dim
-    # every g entry, a, V and f on the samples and their reflections, in
-    # one tape run; after a domain error each tree and each bound is
-    # evaluated on its own, so that only the trees that leave their domain
-    # skip their test
+    # every g entry, a, V and f on the samples and their reflections
     trees = [e for row in model.metric for e in row] + [
         *model.gyro, model.potential, *(c.f for c in model.constraints)]
-    try:
-        stacked = ex.compile(trees).run(np.concatenate((t, -t)),
-                                        np.concatenate((z, -z)))
-    except ex.EvalDomainError:
-        stacked = None
-    terms = LagrangianTerms.of(model) \
-        if stacked is None or model.constraints else None
+    halves = _on_halves(trees, t, z)
 
     parity_ok: dict = {}
     witnesses: dict = {}
@@ -252,9 +261,8 @@ def check_hypotheses(model: ModelSpec,
 
     def note_parity(name, first, count, declared=None):
         # the first tree that fails the parity test is the witness
-        for i in range(first, first + count):
-            ok, wit = _parity_ok(trees[i], t, z, declared,
-                                 None if stacked is None else stacked[i])
+        for plus, minus in halves[first:first + count]:
+            ok, wit = _parity_ok(t, z, plus, minus, declared)
             if not ok:
                 parity_ok[name] = False
                 witnesses["parity:" + name] = wit
@@ -267,13 +275,23 @@ def check_hypotheses(model: ModelSpec,
     for ci, c in enumerate(model.constraints):
         note_parity(f"constraint[{ci}]", d2 + dim + 1 + ci, 1, c.parity)
 
+    def on_samples(check, first, count):
+        # (n, count) values of the trees on the samples; the first tree
+        # that leaves its domain there skips the bound check instead
+        plus = [p for p, _ in halves[first:first + count]]
+        for p in plus:
+            if isinstance(p, ex.EvalDomainError):
+                warnings.append(f"{check} bound check skipped: {p}")
+                return None
+        return np.stack(plus, axis=1)
+
     # metric lower bound on random unit directions
     bound_g_ok = True
     xi = rng.normal(size=(len(t), 4, dim))
     xi /= np.linalg.norm(xi, axis=2, keepdims=True)
-    try:
-        G = terms.metric_at(t, z) if stacked is None else np.stack(
-            stacked[:d2], axis=1)[:n].reshape(n, dim, dim)  # (M, dim, dim)
+    G = on_samples("metric", 0, d2)
+    if G is not None:
+        G = G.reshape(n, dim, dim)
         quad = 0.5 * np.einsum("mkd,mde,mke->mk", xi, G, xi)
         bad = quad < k.K - 1e-10 * (1.0 + k.K)
         if np.any(bad):
@@ -283,16 +301,13 @@ def check_hypotheses(model: ModelSpec,
                 "t": float(t[m_i]), "z": z[m_i].copy(),
                 "xi": xi[m_i, k_i].copy(),
                 "half_quad": float(quad[m_i, k_i]), "K": k.K}
-    except ex.EvalDomainError as err:
-        warnings.append(f"metric bound check skipped: {err}")
 
     # gyro growth bound, componentwise
     bound_a_ok = True
     znorm = np.linalg.norm(z, axis=1)
     cap = k.C + k.M * znorm
-    try:
-        a_vals = terms.fields(t, z, "gyro").a if stacked is None \
-            else np.stack(stacked[d2:d2 + dim], axis=1)[:n]  # (M, dim)
+    a_vals = on_samples("gyro", d2, dim)
+    if a_vals is not None:
         slack = 1e-10 * (1.0 + cap)
         bad = np.abs(a_vals) > (cap + slack)[:, None]
         if np.any(bad):
@@ -302,14 +317,12 @@ def check_hypotheses(model: ModelSpec,
                 "t": float(t[m_i]), "z": z[m_i].copy(),
                 "component": int(d_i), "value": float(a_vals[m_i, d_i]),
                 "cap": float(cap[m_i])}
-    except ex.EvalDomainError as err:
-        warnings.append(f"gyro bound check skipped: {err}")
 
     # potential upper bound with the nearest singular translate
     bound_V_ok = True
-    try:
-        V_vals = terms.fields(t, z, "potential").V if stacked is None \
-            else stacked[d2 + dim][:n]
+    V_vals = on_samples("potential", d2 + dim, 1)
+    if V_vals is not None:
+        V_vals = V_vals[:, 0]
         if s.is_empty():
             bound = k.A * znorm ** 2 + k.C1
         else:
@@ -322,14 +335,13 @@ def check_hypotheses(model: ModelSpec,
             witnesses["bound_V"] = {
                 "t": float(t[i]), "z": z[i].copy(),
                 "V": float(V_vals[i]), "bound": float(bound[i])}
-    except ex.EvalDomainError as err:
-        warnings.append(f"potential bound check skipped: {err}")
 
     # constraint-gradient rank at refined feasible points
     rank_ok = True
     rank_min_sv = math.inf
     l = len(model.constraints)
     if l > 0:
+        terms = LagrangianTerms.of(model)
         zf, feasible = _project_feasible(terms, t, z)
         if not s.is_empty():
             feasible[feasible] = nearest_distances(s, zf[feasible]) > 1e-6
@@ -542,19 +554,3 @@ def homotopy_equiv_sufficient(t1: FourierTrajectory,
         return "Inconclusive"
     return "Homotopic"
 
-
-def holder_seminorm(traj: FourierTrajectory, M: int = 512) -> float:
-    """Finite-difference 1/2-Holder seminorm over one period.
-
-    sup over node pairs of |z(t_i) - z(t_j)| / sqrt(t_i - t_j), a raw
-    regularity diagnostic (no inequality asserted against it).
-    """
-    M = min(M, 2048)  # O(M^2) pairs
-    path = sample(traj, max(M, 2 * traj.N + 1))
-    z, t = path.z, path.t
-    best = 0.0
-    for i in range(len(t) - 1):
-        diffs = np.linalg.norm(z[i + 1:] - z[i], axis=1)
-        dts = np.sqrt(t[i + 1:] - t[i])
-        best = max(best, float(np.max(diffs / dts)))
-    return best

@@ -343,7 +343,9 @@ def test_fields_match_per_entry_evaluation(name, rng):
     assert np.array_equal(res.dtG, sym(terms.dtg))
     assert np.array_equal(res.dta, cols(terms.dta))
     assert res.a is None and res.V is None  # never evaluated there
-    assert np.array_equal(terms.fields(t, z, "gyro").a, a)
+    data = terms.fields(t, z, "data")
+    assert np.array_equal(data.G, G) and np.array_equal(data.a, a)
+    assert np.array_equal(data.V, V)
     energy = terms.fields(t, z, "energy")
     assert np.array_equal(energy.G, G) and np.array_equal(energy.V, V)
     if terms.f:

@@ -2,7 +2,6 @@
 
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,7 +245,7 @@ def test_unsatisfiable_constraint_never_converges():
     """f = z1^2 + 1 has no zero: every round leaves max|f| >= 1, so the
     multipliers grow by at least mu per round, and the run ends within
     max_iters as MaxIter, never Converged."""
-    model = replace(constrained_planar_model(), constraints=(
+    model = constrained_planar_model()._replace(constraints=(
         Constraint(ex.parse("z1^2 + 1", 2), "even"),))
     opts = SolveOptions(N=6, max_iters=200)
     res = minimize(model, FourierTrajectory(TWO_PI, (), 0.1 * np.ones(
@@ -725,7 +724,7 @@ def test_unconstrained_report_comes_from_the_loop(monkeypatch):
                 TWO_PI, (), 0.1 * np.ones((6, 2))), SolveOptions(N=6))):
         res = minimize(model, seed, opts)
         # a constrained grad_norm is the loop's, with the multiplier terms
-        got, want = (replace(r, grad_norm=0.0) if model.constraints else r
+        got, want = (r._replace(grad_norm=0.0) if model.constraints else r
                      for r in (res.report, action_report(
                          model, res.trajectory, opts.M)))
         assert _report_bits(got) == _report_bits(want)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from minact import expr as ex
+from minact.action import ActionReport
 from minact.model import (Constraint, GrowthConstants, ModelError,
-                          SingularSet)
+                          ModelSpec, SingularSet)
 from minact.optimize import OptimizeError, SolveOptions, SolveResult
 from minact.trajectory import (FourierTrajectory, HomotopySignature,
                                PoincareBounds, SampledPath, TrajectoryError)
@@ -43,6 +44,19 @@ CASES = {
         ({"parity": "none"}, ModelError)),
     SingularSet: ((((1.0, 0.0),), 2, 0),
                   "SingularSet(base=((1.0, 0.0),), m=2, n=0)", None),
+    ModelSpec: (
+        (1, 0, 2.0, (), ((ex.Const(1.0),),), (ex.Const(0.0),),
+         ex.Power(X, 2.0), (), GrowthConstants(0.0, 0.0, 1.0, 0.5, 0.0, 0.0),
+         ((0.5,),)),
+        "ModelSpec(m=1, n=0, omega=2.0, nu=(), metric=((Const(value=1.0),),), "
+        "gyro=(Const(value=0.0),), potential=Power(base=Var(index=1), "
+        "exponent=2.0), constraints=(), constants=GrowthConstants(C=0.0, "
+        "M=0.0, A=1.0, K=0.5, P=0.0, C1=0.0), sigma_base=((0.5,),))",
+        ({"omega": -1.0}, ModelError)),
+    ActionReport: (
+        (1.0, 0.5, 2.0, 0.25, 0.5, -1.0),
+        "ActionReport(S=1.0, grad_norm=0.5, h1=2.0, min_distance=0.25, "
+        "margin=0.5, lower_bound_at_h1=-1.0)", None),
     FourierTrajectory: (
         (TWO_PI, (1,), np.array([[0.5, 0.0]])),
         "FourierTrajectory(omega=6.283185307179586, nu=(1,), "
@@ -163,6 +177,31 @@ def test_validation_errors(cls):
     values, _, (bad, error) = CASES[cls]
     with pytest.raises(error):
         cls(**{**dict(zip(cls._fields, values)), **bad})
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_replace_copies_through_the_class(cls):
+    """_replace() builds a copy by calling the class on the field values,
+    so a change the class's validation rejects raises from it."""
+    values, _, invalid = CASES[cls]
+    a = cls(*values)
+    copy_ = a._replace()
+    assert type(copy_) is cls and repr(copy_) == repr(a)
+    if cls in EQUAL_COPIES:
+        assert copy_ == a
+    if invalid:
+        bad, error = invalid
+        with pytest.raises(error):
+            a._replace(**bad)
+
+
+def test_model_replace_changes_one_field_and_validates():
+    model = ModelSpec(*CASES[ModelSpec][0])
+    other = model._replace(omega=3)
+    assert other.omega == 3.0 and type(other.omega) is float
+    assert other._replace(omega=2.0) == model
+    with pytest.raises(ModelError):
+        model._replace(omega=-1.0)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

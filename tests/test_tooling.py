@@ -33,7 +33,9 @@ def load_tracer():
 def test_tracer_targets_resolve():
     """Every FUNCTIONS target is an attribute of its minact module and
     every METHODS name is defined on LagrangianTerms itself, so a rename
-    cannot silently drop a span from the traced benchmark runs."""
+    or a deletion cannot silently drop a span from the traced benchmark
+    runs, which fail on a missing name: metric_at, whose only caller is
+    the tracer, stays for this reason."""
     tracer = load_tracer()
     for span, (module, attr) in tracer.FUNCTIONS.items():
         assert module.startswith("minact."), span
@@ -72,13 +74,12 @@ def test_constrained_solve_generates_only_the_penalized_kernel(monkeypatch):
 
 def test_only_documented_dataclasses_in_the_public_namespace():
     """Import-cost guard: every @dataclass generates and execs its methods
-    when minact is imported.  Only ModelSpec (documented as a
-    dataclasses.replace target) and ActionReport stay dataclasses; other
-    value classes derive from minact.expr.Record."""
+    when minact is imported, so every value class derives from
+    minact.expr.Record instead."""
     found = sorted(name for name, value in vars(minact).items()
                    if isinstance(value, type)
                    and dataclasses.is_dataclass(value))
-    assert found == ["ActionReport", "ModelSpec"], (
+    assert found == [], (
         f"dataclasses {found}: each @dataclass adds ~0.5 ms to every "
         f"import of minact; derive the class from minact.expr.Record")
 

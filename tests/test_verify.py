@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +10,12 @@ from minact import expr as ex
 from minact.model import (BUILTIN_NAMES, Constraint, GrowthConstants,
                           ModelSpec, SingularSet, builtin, model_to_dict,
                           singular_set, with_nu, with_omega)
-from minact.trajectory import FourierTrajectory, h1_seminorm, \
-    min_distance_to, seed_curve, winding_signature
+from minact.trajectory import FourierTrajectory, min_distance_to, \
+    seed_curve, winding_signature
 from minact.action import LagrangianTerms, action_gradient, action_report
 from minact.optimize import SolveOptions, minimize, solve_in_class
 from minact.verify import (SamplerOptions, VerifyError, check_hypotheses,
-                           el_residual, energy_drift, holder_seminorm,
+                           el_residual, energy_drift,
                            homotopy_equiv_sufficient, recover_multipliers,
                            _draw_samples, _el_residual_values,
                            _min_norm_step, _project_feasible)
@@ -307,8 +306,9 @@ def test_hypotheses_partial_domain_warns():
 def test_check_runs_the_model_data_on_one_tape(monkeypatch):
     """check evaluates every g entry, a, V and f in one tape run on the
     samples and their reflections (-t, -z), and an unconstrained model
-    builds no LagrangianTerms.  The reports equal those of the per-tree
-    and per-bound path that a domain error in that run falls back to."""
+    builds no LagrangianTerms.  The reports equal those of the tree by
+    tree and half by half runs that a domain error in that run falls back
+    to, which build no LagrangianTerms either."""
     builds = count_calls(monkeypatch, LagrangianTerms, "__init__")
     runs = count_calls(monkeypatch, ex.Tape, "run")
     sampler = SamplerOptions(count=60, rng_seed=5)
@@ -326,7 +326,22 @@ def test_check_runs_the_model_data_on_one_tape(monkeypatch):
     for name in BUILTIN_NAMES:
         assert check_hypotheses(builtin(name), sampler).to_dict() == \
             reports[name], name
-    assert builds
+    assert builds == []
+
+
+def test_domain_error_on_the_reflected_half_skips_only_parity():
+    """V = sqrt(z1 + 4.9) leaves its domain only at the reflection of a
+    sample with z1 > 4.9: V's parity test is skipped there, with no
+    warning, and its bound still reads every sample and is falsified."""
+    model = flat_model(potential=ex.parse("sqrt(z1 + 4.9)", 2))
+    t, z = _draw_samples(model, SamplerOptions())
+    assert np.all(z[:, 0] > -4.9) and np.any(z[:, 0] > 4.9)
+    rep = check_hypotheses(model)
+    assert rep.warnings == [] and rep.parity_ok["V"]
+    assert not rep.bound_V_ok
+    wit = rep.witnesses["bound_V"]
+    assert abs(wit["t"] - 0.86055) < 1e-5 and wit["t"] == t[0]
+    assert wit["V"] == math.sqrt(z[0, 0] + 4.9) and wit["bound"] == 0.0
 
 
 def test_hypotheses_sampler_box_matters():
@@ -485,10 +500,10 @@ def test_model_owns_one_compiled_terms(monkeypatch):
     other = with_nu(with_omega(model, 5.0), ())
     assert LagrangianTerms.of(other) is LagrangianTerms.of(model)
     assert len(builds) == 1
-    changed = replace(model, potential=ex.parse("z1^2 + z2^2", 2))
+    changed = model._replace(potential=ex.parse("z1^2 + z2^2", 2))
     assert LagrangianTerms.of(changed) is not LagrangianTerms.of(model)
     assert len(builds) == 2
-    copy = replace(model)
+    copy = model._replace()
     assert copy == model and hash(copy) == hash(model)
     assert repr(copy) == repr(model)
     assert model_to_dict(copy) == model_to_dict(model)
@@ -686,29 +701,6 @@ def test_homotopy_error_cases():
     line = FourierTrajectory(TWO_PI, (), [[1.0]])
     with pytest.raises(VerifyError):
         homotopy_equiv_sufficient(fig8, line, s, 0.1)
-
-
-# ---------------------------------------------------------------------------
-# Hoelder seminorm
-
-
-def test_holder_below_h1():
-    """The 1/2-Hoelder seminorm never exceeds the H1 seminorm."""
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        dim = int(rng.integers(1, 4))
-        traj = random_trajectory(rng, dim=dim, N=5, nu=(1,) * min(dim, 1))
-        hs = holder_seminorm(traj, 128)
-        h1 = h1_seminorm(traj)
-        assert hs <= h1 + 1e-12, f"holder {hs} > h1 {h1}"
-
-
-def test_holder_sine_value():
-    """sup |sin s - sin t|/sqrt(s - t) over a period is about 1.2038."""
-    traj = FourierTrajectory(TWO_PI, (), [[1.0]])
-    got = holder_seminorm(traj, 512)
-    assert abs(got - 1.2038) < 2e-3, f"holder = {got}"
-    assert got <= h1_seminorm(traj) + 1e-12  # h1 = sqrt(pi)
 
 
 @pytest.mark.parametrize("N", [16, 64, 96])
